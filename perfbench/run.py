@@ -13,8 +13,10 @@ its own process, prints every metric by name with its unit, and checks
 that the traced counts repeat exactly.
 
 Load model: a closed loop with one client in one process; the next
-operation starts only after the previous one returned.  The readme
-workload runs ``python -m gexpkit`` as one child process at a time.
+operation starts only after the previous one returned.  Every operation
+is a ``gexpkit lower`` or ``gexpkit build``: the readme workload runs
+``python -m gexpkit`` as one child process at a time, the others call
+``gexpkit.cli.main`` in this process.
 Every operation runs in a fresh directory under ``.bench_work/`` as its
 cwd, so ``./store`` is always a store of the benchmark's own.
 
@@ -54,19 +56,17 @@ SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 
 # Operations per iteration beyond one of each, chosen so that every phase
-# gets enough samples within a run.  readme needs 100 warm samples for a
-# p90 with 10 samples beyond it; compute's lower and warm take ~5 ms.
-REPEATS = {"readme": {"lower": 1, "warm": 5},
+# gets enough samples within a run.  readme's 6 warm builds give over
+# 100 warm samples in 40 s, enough for a p90 with 10 samples beyond it;
+# compute's lower and warm take ~5 ms.
+REPEATS = {"readme": {"lower": 1, "warm": 6},
            "chain": {"lower": 1, "warm": 1},
            "wide": {"lower": 1, "warm": 1},
            "compute": {"lower": 10, "warm": 10}}
-MIN_WARM_SAMPLES = {"readme": 100}
 # Traced runs alternate traced and untraced iterations: two of each.
 MIN_ITERATIONS = 4
 SETUP_REPEATS = 7
 CHILD_REPEATS = 5
-# A run that still lacks MIN_WARM_SAMPLES stops extending here.
-HARD_STOP_S = 150.0
 
 END_TO_END = [
     ("setup_s", "s"), ("lower_s", "s"), ("build_cold_s", "s"),
@@ -182,33 +182,6 @@ def parse_log(text: str) -> list:
             if line.startswith(("build ", "cached "))]
 
 
-class ApiRunner:
-    """Drives the public API the way ``gexpkit lower/build`` does."""
-
-    def __init__(self, api, inputs: Path, work):
-        self.api, self.inputs, self.work = api, inputs, work
-
-    def _lower(self, variant: str):
-        v = getattr(self.work, variant)
-        module_path = (str(self.inputs / variant / v.module_dir),) if v.module_dir else ()
-        g = self.api.cli.load_deployment(self.inputs / variant / "deploy.scm", module_path)
-        store = self.api.store.Store("./store")
-        store.module_path = module_path
-        d = self.api.store.gexp_to_derivation(store, "deploy", g,
-                                              module_path=module_path)
-        return store, d
-
-    def lower(self, variant: str) -> str:
-        store, d = self._lower(variant)
-        return str(self.api.store.write_derivation(store, d))
-
-    def build(self, variant: str):
-        store, d = self._lower(variant)
-        log: list = []
-        outputs = self.api.builder.build(store, d, log=log)
-        return str(outputs["out"]), log
-
-
 def cli_argv(inputs: Path, work, command: str, variant: str) -> list:
     v = getattr(work, variant)
     argv = [command, str(inputs / variant / "deploy.scm")]
@@ -285,6 +258,17 @@ def check_log(log: list, want: tuple, phase: str) -> None:
         raise Failure(f"{phase}: built/cached {got}, expected {want}")
 
 
+def code_digest() -> str:
+    """Hash of the gexpkit sources and of this benchmark's own files.
+    Records carry it in their name, so a run compares only with earlier
+    runs of the same code on the same inputs."""
+    h = hashlib.sha256()
+    here = Path(__file__).resolve().parent
+    for path in sorted([*SRC.glob("gexpkit/**/*.py"), *here.glob("*.py")]):
+        h.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
+
+
 class Checker:
     """Holds the facts every later operation of the run must repeat."""
 
@@ -334,16 +318,23 @@ class Run:
     """One workload's measured loop: its samples, checks and failures."""
 
     def __init__(self, name, work, runner, checker, run_dir,
-                 tracer=None, main=None):
+                 tracer=None, main=None, child_ruler=False):
         self.name, self.work, self.runner = name, work, runner
         self.checker, self.run_dir = checker, run_dir
         # Traced runs only: the tracer, and the in-process `gexpkit build`
         # (invoke, argv) timed on untraced iterations for cli.main_s.
         self.tracer, self.main = tracer, main
-        # Operation times per phase: yardstick-scaled, and as measured.
+        # Operation times per phase: scaled, and as measured.  In-process
+        # operations are scaled by the yardstick read around each one.
+        # Child-process operations are scaled by the child ruler, read
+        # around each iteration because a reading costs half an operation.
         self.samples = {"lower": [], "cold": [], "warm": [], "incr": []}
         self.raw = {phase: [] for phase in self.samples}
-        self.scaler = yardstick.Scaler()
+        self.per_iteration = child_ruler
+        self.scaler = (yardstick.Scaler(yardstick.measure_child,
+                                        yardstick.CHILD_REFERENCE_S)
+                       if child_ruler else yardstick.Scaler())
+        self.pending: list = []
         self.traced_logs: dict = {}
         self.main_s: list = []
         self.attempted = self.failed = 0
@@ -371,9 +362,17 @@ class Run:
             result = exc
         elapsed = time.perf_counter() - start
         self.raw[phase].append(elapsed)
-        self.samples[phase].append(self.scaler.scale(elapsed))
+        self.pending.append((phase, elapsed))
+        if not self.per_iteration:
+            self.scale_pending()
         self.spent += elapsed
         return result
+
+    def scale_pending(self) -> None:
+        factor = self.scaler.factor()
+        for phase, elapsed in self.pending:
+            self.samples[phase].append(elapsed * factor)
+        self.pending.clear()
 
     def check(self, phase: str, result, check, *extra) -> None:
         try:
@@ -434,6 +433,8 @@ class Run:
                            self.check_warm)
             self.check("incr", self.op("incr", self.runner.build, "incr"),
                        self.check_incr)
+            if self.pending:
+                self.scale_pending()
             if self.main and not self.traced_now:
                 self.time_main()
         finally:
@@ -452,18 +453,14 @@ class Run:
 
 
 def run_loop(run: Run, seconds: float) -> list:
-    """Iterate until --seconds are used up (and, for readme, until there
-    are enough warm samples).  A traced run traces every other iteration.
-    Returns (traced?, summed op time) per iteration."""
+    """Iterate until --seconds are used up.  A traced run traces every
+    other iteration.  Returns (traced?, summed op time) per iteration."""
     start = time.perf_counter()
     done: list = []
-    min_warm = MIN_WARM_SAMPLES.get(run.name, 0)
     while True:
         elapsed = time.perf_counter() - start
         per_iteration = elapsed / len(done) if done else 0.0
-        enough = len(done) >= MIN_ITERATIONS and elapsed + per_iteration > seconds
-        short = len(run.samples["warm"]) < min_warm and elapsed < HARD_STOP_S
-        if enough and not short:
+        if len(done) >= MIN_ITERATIONS and elapsed + per_iteration > seconds:
             return done
         run.index = len(done)
         run.traced_now = run.tracer is not None and run.index % 2 == 0
@@ -506,7 +503,7 @@ def end_to_end(run: Run, setup_s: float) -> dict:
     print("samples " + ", ".join(f"{k} {len(v)}" for k, v in s.items()))
     print("unscaled medians " + ", ".join(
         f"{k} {statistics.median(v):.6f} s" for k, v in run.raw.items())
-        + f"; yardstick {statistics.median(run.scaler.readings):.6f} s")
+        + f"; ruler {statistics.median(run.scaler.readings):.6f} s")
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
 
 
@@ -551,14 +548,16 @@ def per_layer(run: Run, done: list) -> tuple:
     def ratio(a, b):
         return a / b if b else 0.0
 
+    # The layer self times and unattributed_s add up to trace.wall_s as
+    # long as every traced call ran inside an operation's root span.
     ops = [f"op.{phase}" for phase in run.samples]
+    stray = sorted({s[3] for s in tracer.spans if s[2] == 0 and s[3] not in ops})
+    if stray:
+        run.fail("trace", Failure(f"calls traced outside any operation: {stray[:5]}"))
     wall = field(1, *ops)
     unattributed = self_s(*ops)
     layer_self = {layer: mean(lambda st, _i, prefix=f"{layer}.": sum(
         e[2] for n, e in st.items() if n.startswith(prefix))) for layer in LAYERS}
-    if not math.isclose(sum(layer_self.values()) + unattributed, wall,
-                        rel_tol=1e-9, abs_tol=1e-9):
-        run.fail("trace", Failure("self times do not add up to the traced wall time"))
 
     read_self = self_s("sexp.read", "sexp.read_all")
     lower_calls = calls("lowerable.lower_object")
@@ -630,15 +629,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     os.environ["TMPDIR"] = tempfile.tempdir = str(run_dir / "tmp")
     for var in ("GEXP_STORE_DIR", "GEXP_MODULE_PATH"):
         os.environ.pop(var, None)
-    checker = Checker(WORK / "records" / f"{name}-seed{seed}.json")
+    checker = Checker(WORK / "records" / f"{name}-seed{seed}-{code_digest()}.json")
     try:
         work, inputs, api, setup_s = setup(name, seed, run_dir)
         if trace:
             tracer = Tracer()
             tracer.install()
             main = (invoke_main(api), cli_argv(inputs, work, "build", "base"))
-            runner = (CliRunner(inputs, work, invoke_main(api)) if name == "readme"
-                      else ApiRunner(api, inputs, work))
+            runner = CliRunner(inputs, work, invoke_main(api))
             run = Run(name, work, runner, checker, run_dir, tracer, main)
             done = run_loop(run, seconds)
             metrics, repeated = per_layer(run, done)
@@ -649,9 +647,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             (WORK / "traces").mkdir(exist_ok=True)
             tracer.write(WORK / "traces" / f"{name}-seed{seed}.jsonl")
         else:
-            runner = (CliRunner(inputs, work, invoke_child) if name == "readme"
-                      else ApiRunner(api, inputs, work))
-            run = Run(name, work, runner, checker, run_dir)
+            runner = CliRunner(inputs, work, invoke_child if name == "readme"
+                               else invoke_main(api))
+            run = Run(name, work, runner, checker, run_dir,
+                      child_ruler=name == "readme")
             run_loop(run, seconds)
             metrics = end_to_end(run, setup_s)
             checker.save()

@@ -201,7 +201,9 @@ def _fib(n: int) -> int:
 def compute(seed: int) -> Workload:
     rng = random.Random(f"compute:{seed}")
     tag = _hex(rng, 8)
-    offset = rng.randrange(1000, 9000)
+    # fib(18) = 2584: the expected value, and the incremental variant's
+    # offset + 1, stay at four digits.
+    offset = rng.randrange(1000, 7000)
     fib_module = (
         "(define-module (bench fib) #:use-module (bench util))\n"
         "(define (fib n)\n"

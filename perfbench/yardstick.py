@@ -12,6 +12,12 @@ every scaled time: the baseline must then be measured again.
 
 Its work resembles gexpkit's: a per-character reader building nested
 tuples, a recursive printer, and hashing of the printed text.
+
+A workload that runs gexpkit as a child process spends most of its time
+starting the interpreter and importing modules, which does not slow
+down in proportion to pure Python.  For it, `measure_child` times a
+child interpreter that imports the standard modules gexpkit imports,
+against CHILD_REFERENCE_S.
 """
 
 from __future__ import annotations
@@ -19,10 +25,15 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import subprocess
+import sys
 import time
 
 REFERENCE_S = 0.0023
 REPEATS = 3
+CHILD_REFERENCE_S = 0.056
+CHILD_CODE = ("import argparse, contextlib, dataclasses, hashlib, os, pathlib, re, "
+              "shutil, subprocess, sys, tempfile, threading, typing")
 
 
 def _text() -> str:
@@ -94,11 +105,20 @@ def measure() -> float:
     return min(_once() for _ in range(REPEATS))
 
 
-class Scaler:
-    """Yardstick readings around consecutive operations; the reading
-    after one operation is the reading before the next."""
+def measure_child() -> float:
+    """Wall time of one child interpreter running CHILD_CODE, in seconds."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", CHILD_CODE], check=True)
+    return time.perf_counter() - start
 
-    def __init__(self):
+
+class Scaler:
+    """Ruler readings around consecutive timed spans (operations, or
+    whole iterations for the child ruler); the reading after one span is
+    the reading before the next.  `reset` forces a fresh one."""
+
+    def __init__(self, measure=measure, reference: float = REFERENCE_S):
+        self.measure, self.reference = measure, reference
         self.readings: list = []
         self._before = None
 
@@ -108,12 +128,17 @@ class Scaler:
 
     def begin(self) -> None:
         if self._before is None:
-            self._before = measure()
+            self._before = self.measure()
             self.readings.append(self._before)
 
-    def scale(self, elapsed: float) -> float:
-        after = measure()
+    def factor(self) -> float:
+        """Take the reading after the operations timed since `begin`
+        and return the factor that scales their times."""
+        after = self.measure()
         self.readings.append(after)
-        factor = REFERENCE_S / ((self._before + after) / 2)
+        factor = self.reference / ((self._before + after) / 2)
         self._before = after
-        return elapsed * factor
+        return factor
+
+    def scale(self, elapsed: float) -> float:
+        return elapsed * self.factor()
