@@ -10,8 +10,7 @@ from .lowerable import (FileAppend, GexpCompiler, LocalFile, LoweringError,
                         expand_object, file_append, lower_object,
                         make_resolver, register_compiler)
 from .modules import (ModuleError, ModuleFile, ModuleName,
-                      intern_module_closure, load_modules,
-                      source_module_closure)
+                      intern_module_closure, source_module_closure)
 from .sexp import (Boolean, Integer, Keyword, ParseError, Sexp, SList, String,
                    Symbol, hash_sexp, print_canonical, read, read_all, slist)
 from .store import (DEFAULT_SYSTEM, Derivation, Store, StoreError, StorePath,
@@ -32,7 +31,7 @@ __all__ = [
     "file_append", "find_store_references", "gexp_inputs", "gexp_modules",
     "gexp_outputs",
     "gexp_to_derivation", "gexp_to_sexp", "hash_sexp",
-    "intern_module_closure", "load_modules", "lower_object", "make_resolver",
+    "intern_module_closure", "lower_object", "make_resolver",
     "mini_eval", "output_path", "parse_store_path", "plan",
     "print_canonical", "read", "read_all", "read_derivation",
     "register_compiler", "slist", "source_module_closure", "stage",

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import os
 import shutil
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .modules import ModuleError, ModuleName, parse_module_source
-from .sexp import Boolean, Integer, Keyword, Sexp, SList, String, Symbol, read_all
+from .modules import ModuleError, ModuleName, load_module
+from .sexp import (Boolean, Integer, Keyword, ParseError, Sexp, SList, String,
+                   Symbol, read_all)
 from .store import (Derivation, Store, StorePath, read_derivation, rmtree_rw,
                     write_derivation, _make_tree_read_only)
 
@@ -38,7 +38,6 @@ class EvalEnv:
     module_path: tuple = ()
     base_dir: str = "."
     step_budget: int = 10_000_000
-    allow_system: bool = False
 
 
 class _Frame:
@@ -310,17 +309,10 @@ class _Evaluator:
         if name in self.loaded_modules:
             return
         self.loaded_modules.add(name)
-        for directory in self.env.module_path:
-            candidate = os.path.join(self._resolve(str(directory)), name.relpath)
-            if os.path.isfile(candidate):
-                break
-        else:
-            searched = ":".join(str(d) for d in self.env.module_path) or "(empty)"
-            raise BuildError(f"module not found: {name} (searched {searched})")
         try:
-            with open(candidate, "r", encoding="utf-8") as fh:
-                module = parse_module_source(fh.read(), name)
-        except (OSError, ModuleError) as exc:
+            module = load_module(
+                name, [self._resolve(d) for d in self.env.module_path])
+        except (ModuleError, ParseError, OSError, UnicodeDecodeError) as exc:
             raise BuildError(f"cannot load module {name}: {exc}") from exc
         for imported in module.imports:
             self._load_module(imported)
@@ -422,15 +414,7 @@ class _Evaluator:
             raise BuildError("error: " + " ".join(_display(p) for p in parts))
 
         def system_star(*argv):
-            if not env.allow_system:
-                raise BuildError("system* is disabled in this build environment")
-            command = [_check_str(a, "system*") for a in argv]
-            if not command:
-                raise BuildError("system*: empty command")
-            result = subprocess.run(
-                command, cwd=self._resolve(env.variables.get("TMPDIR", ".")),
-                env={k: str(v) for k, v in env.variables.items()})
-            return result.returncode
+            raise BuildError("system* is disabled in this build environment")
 
         return {
             "getenv": getenv,
@@ -542,9 +526,8 @@ def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:
         if drv.target is not None:
             variables["TARGET"] = drv.target
         variables["TMPDIR"] = tmp
-        module_path = ()
-        if "MODULE_PATH" in variables:
-            module_path = tuple(p for p in variables["MODULE_PATH"].split(":") if p)
+        module_path = tuple(
+            p for p in variables.get("MODULE_PATH", "").split(":") if p)
         env = EvalEnv(variables=variables, module_path=module_path,
                       base_dir=base_dir)
 

@@ -141,14 +141,12 @@ def _module_path(args) -> tuple:
 
 
 def _lower_args(args):
-    store = Store(args.store)
-    module_path = _module_path(args)
-    store.module_path = module_path
+    store = Store(args.store, _module_path(args))
     source = Path(args.file)
-    g = load_deployment(source, module_path)
+    g = load_deployment(source, store.module_path)
     name = args.name if args.name else source.stem
     d = gexp_to_derivation(store, name, g, system=args.system,
-                           target=args.target, module_path=module_path)
+                           target=args.target)
     return store, d
 
 
@@ -235,8 +233,12 @@ def main(argv: Optional[list] = None) -> int:
         print(f"gexpkit: build error{where}: {exc}", file=sys.stderr)
         return 2
     except (ParseError, StagingError, LoweringError, ModuleError,
-            StoreError, OSError) as exc:
+            StoreError, OSError, UnicodeDecodeError) as exc:
         print(f"gexpkit: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("gexpkit: error: input nested too deeply (recursion limit)",
+              file=sys.stderr)
         return 1
 
 

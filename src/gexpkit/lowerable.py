@@ -122,26 +122,25 @@ class Registry:
 default_registry = Registry()
 
 
-def register_compiler(compiler: GexpCompiler, registry: Optional[Registry] = None):
-    (registry or default_registry).register(compiler)
+def register_compiler(compiler: GexpCompiler):
+    default_registry.register(compiler)
 
 
-def lower_object(obj, store, system: str, target: Optional[str] = None,
-                 registry: Optional[Registry] = None):
+def lower_object(obj, store, system: str, target: Optional[str] = None):
     """Lower *obj* for (system, target), memoized on the store."""
     key = (id(obj), system, target)
     hit = store.lower_cache.get(key)
     if hit is not None:
         return hit[0]
-    compiler = (registry or default_registry).find(obj)
+    compiler = default_registry.find(obj)
     lowered = compiler.lower(obj, store, system, target)
     # The object rides along so its id stays unique for the cache's life.
     store.lower_cache[key] = (lowered, obj)
     return lowered
 
 
-def expand_object(obj, lowered, registry: Optional[Registry] = None) -> str:
-    compiler = (registry or default_registry).find(obj)
+def expand_object(obj, lowered) -> str:
+    compiler = default_registry.find(obj)
     if compiler.expand is not None:
         return compiler.expand(obj, lowered)
     return default_expansion(lowered)
@@ -161,14 +160,14 @@ def default_expansion(lowered) -> str:
     raise LoweringError(f"cannot expand {type(lowered).__name__}")
 
 
-def make_resolver(store, registry: Optional[Registry] = None):
+def make_resolver(store):
     """Resolver handed to gexp serialization: lower, expand, splice as
     a string literal."""
     from .sexp import String
 
     def resolve(obj, system: str, target: Optional[str]):
-        lowered = lower_object(obj, store, system, target, registry)
-        return String(expand_object(obj, lowered, registry))
+        lowered = lower_object(obj, store, system, target)
+        return String(expand_object(obj, lowered))
 
     return resolve
 

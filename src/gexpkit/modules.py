@@ -8,7 +8,6 @@ walk follows those edges depth-first, keeping first occurrences.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -106,23 +105,14 @@ def parse_module_source(text: str, expected: ModuleName) -> ModuleFile:
     return ModuleFile(expected, tuple(forms), tuple(imports))
 
 
-def find_module(name: ModuleName, search_path: Sequence) -> Path:
+def load_module(name: ModuleName, search_path: Sequence) -> ModuleFile:
+    """Parse the first ``name.relpath`` found under *search_path*."""
     for directory in search_path:
         candidate = Path(directory) / name.relpath
         if candidate.is_file():
-            return candidate
+            return parse_module_source(candidate.read_text(encoding="utf-8"), name)
     searched = ":".join(str(d) for d in search_path) or "<empty>"
     raise ModuleError(f"module not found: {name} (searched {searched})")
-
-
-def load_module(name: ModuleName, search_path: Sequence) -> ModuleFile:
-    path = find_module(name, search_path)
-    return parse_module_source(path.read_text(encoding="utf-8"), name)
-
-
-def load_modules(names: Iterable, search_path: Sequence) -> list[ModuleFile]:
-    """Load exactly the named modules, without following imports."""
-    return [load_module(n, search_path) for n in coerce_module_names(names)]
 
 
 def source_module_closure(names: Iterable, search_path: Sequence) -> list[ModuleFile]:

@@ -141,18 +141,22 @@ def rmtree_rw(path: str) -> None:
 class Store:
     """A store rooted at *prefix* (kept verbatim for path rendering).
 
+    Build-side modules are searched for on *module_path*, fixed for the
+    store's life, so the lowering cache, keyed by (object, system,
+    target), never mixes results from two search paths.
+
     Writers stage new items in a temp location and rename them into
     place, so interning is atomic and idempotent: re-interning existing
     content is a no-op (the ``writes`` counter only moves on actual
     materialization).
     """
 
-    def __init__(self, prefix="./store"):
+    def __init__(self, prefix="./store", module_path: Sequence = ()):
         self.prefix = str(prefix).rstrip("/") or "/"
         Path(self.prefix).mkdir(parents=True, exist_ok=True)
         self.writes = 0
         self.lower_cache: dict = {}
-        self.module_path: tuple = ()
+        self.module_path = tuple(module_path)
         self._tlock = threading.Lock()
 
     @contextmanager
@@ -427,23 +431,20 @@ def read_derivation(store: Store, path) -> Derivation:
 
 def gexp_to_derivation(store: Store, name: str, g: Gexp,
                        system: str = DEFAULT_SYSTEM,
-                       target: Optional[str] = None,
-                       module_path: Optional[Sequence] = None) -> Derivation:
+                       target: Optional[str] = None) -> Derivation:
     """Lower *g* into a derivation named *name*.
 
     Embedded objects lower under (system, target) honoring native
     flags, the residual program is interned as ``<name>-builder``, each
     referenced output gets an env entry mapping its name to its output
-    path, and the imported-module closure (if any) is interned with its
-    store path in env MODULE_PATH.  The derivation file is written
-    before returning.
+    path, and the imported-module closure (if any), found on
+    ``store.module_path``, is interned with its store path in env
+    MODULE_PATH.  The derivation file is written before returning.
     """
     validate_store_name(name)
     validate_system(system)
     if target is not None:
         validate_system(target)
-    if module_path is None:
-        module_path = store.module_path
 
     drv_inputs: dict[str, tuple[StorePath, set]] = {}
     source_inputs: dict[str, StorePath] = {}
@@ -469,7 +470,7 @@ def gexp_to_derivation(store: Store, name: str, g: Gexp,
     module_names = gexp_modules(g)
     if module_names:
         closure = intern_module_closure(
-            store, source_module_closure(module_names, module_path))
+            store, source_module_closure(module_names, store.module_path))
         source_inputs.setdefault(str(closure), closure)
         env["MODULE_PATH"] = str(closure)
 

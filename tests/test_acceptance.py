@@ -229,7 +229,8 @@ def test_acceptance_7_module_imports(capsys, scratch, module_dir, store):
         (begin (use-modules (demo util a))
                (write-file #$output (a-label)))"""),
               imported_modules=[read("(demo util a)")])
-    d = gexp_to_derivation(store, "chained", g, module_path=[module_dir])
+    d = gexp_to_derivation(Store("./store", module_path=[module_dir]),
+                           "chained", g)
     closure_dir = Path(d.env["MODULE_PATH"])
     files = sorted(p.relative_to(closure_dir).as_posix()
                    for p in closure_dir.rglob("*") if p.is_file())

@@ -120,6 +120,24 @@ class TestMiniEval:
         with pytest.raises(BuildError, match="module not found"):
             ev("(use-modules (no such module))")
 
+    def test_relative_module_dir_resolves_against_base_dir(self, tmp_path):
+        mods = tmp_path / "mods" / "demo"
+        mods.mkdir(parents=True)
+        (mods / "x.scm").write_text(
+            "(define-module (demo x))\n(define (x-val) 42)\n")
+        env = EvalEnv(base_dir=str(tmp_path), module_path=("mods",))
+        assert mini_eval(read_all("(use-modules (demo x)) (x-val)"), env) == 42
+
+    @pytest.mark.parametrize("body", [b"(define (f)\n", b'(define x "\xff")\n'],
+                             ids=["syntax-error", "not-utf8"])
+    def test_unreadable_module_is_a_build_error(self, tmp_path, body):
+        mods = tmp_path / "mods" / "demo"
+        mods.mkdir(parents=True)
+        (mods / "bad.scm").write_bytes(b"(define-module (demo bad))\n" + body)
+        env = EvalEnv(base_dir=str(tmp_path), module_path=("mods",))
+        with pytest.raises(BuildError, match=r"\(demo bad\)"):
+            mini_eval(read_all("(use-modules (demo bad))"), env)
+
 
 def simple_derivation(store, name, body=None):
     g = stage(read(body or f"""
@@ -178,6 +196,18 @@ class TestPlan:
 
 
 class TestBuild:
+    def test_embedded_package_finds_modules_on_store_path(self, scratch,
+                                                          module_dir):
+        store = Store("./store", module_path=[module_dir])
+        labeller = Package("labeller", "1", stage(read("""
+            (begin (use-modules (demo util a))
+                   (write-file #$output (a-label)))"""),
+            imported_modules=[read("(demo util a)")]))
+        g = stage(read("(write-file #$output (read-file #$pkg))"),
+                  {"pkg": labeller})
+        d = gexp_to_derivation(store, "uses-labeller", g)
+        assert Path(str(build(store, d)["out"])).read_text() == "a+b+c"
+
     def test_outputs_and_log(self, store):
         d = simple_derivation(store, "leaf")
         log = []

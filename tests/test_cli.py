@@ -182,6 +182,19 @@ class TestFailureModes:
         assert "deliberate" in err
         assert "boom.drv" in err
 
+    @pytest.mark.parametrize("text", [
+        b"#~(quote " + b"(" * 3000 + b")" * 3000 + b")",
+        b'#~(write-file #$output "\xff")',
+    ], ids=["deep-nesting", "not-utf8"])
+    def test_hostile_input_exits_1_without_traceback(self, capsys, scratch,
+                                                     text):
+        hostile = scratch / "hostile.scm"
+        hostile.write_bytes(text)
+        code, _, err = run(capsys, "lower", str(hostile))
+        assert code == 1
+        assert err.startswith("gexpkit: error:")
+        assert "Traceback" not in err
+
     def test_use_modules_without_import_exits_2(self, capsys, scratch,
                                                 module_dir):
         bad = scratch / "forgot.scm"
