@@ -2,9 +2,9 @@
 content-addressed store, and a deterministic builder."""
 
 from .builder import BuildError, EvalEnv, build, mini_eval, plan
-from .gexp import (Gexp, HostEnv, StagingError, alpha_rename, collect_escapes,
-                   eval_host, gexp_inputs, gexp_modules, gexp_outputs,
-                   gexp_to_sexp, stage)
+from .gexp import (Gexp, HostEnv, StagingError, alpha_rename, eval_host,
+                   gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp,
+                   stage, substitute_escapes)
 from .lowerable import (FileAppend, GexpCompiler, LocalFile, LoweringError,
                         Package, PlainFile, Registry, default_registry,
                         expand_object, file_append, lower_object,
@@ -26,7 +26,7 @@ __all__ = [
     "LocalFile", "LoweringError", "ModuleError", "ModuleFile", "ModuleName",
     "Package", "ParseError", "PlainFile", "Registry", "Sexp", "SList",
     "StagingError", "Store", "StoreError", "StorePath", "String", "Symbol",
-    "alpha_rename", "build", "collect_escapes", "default_registry",
+    "alpha_rename", "build", "default_registry",
     "derivation_from_sexp", "derivation_text", "eval_host", "expand_object",
     "file_append", "find_store_references", "gexp_inputs", "gexp_modules",
     "gexp_outputs",
@@ -35,5 +35,5 @@ __all__ = [
     "mini_eval", "output_path", "parse_store_path", "plan",
     "print_canonical", "read", "read_all", "read_derivation",
     "register_compiler", "slist", "source_module_closure", "stage",
-    "write_derivation",
+    "substitute_escapes", "write_derivation",
 ]

@@ -21,7 +21,7 @@ from .modules import ModuleError, ModuleName, load_module
 from .sexp import (Boolean, Integer, Keyword, ParseError, Sexp, SList, String,
                    Symbol, read_all)
 from .store import (Derivation, Store, StorePath, read_derivation, rmtree_rw,
-                    write_derivation, _make_tree_read_only)
+                    write_derivation)
 
 
 class BuildError(Exception):
@@ -312,7 +312,7 @@ class _Evaluator:
         try:
             module = load_module(
                 name, [self._resolve(d) for d in self.env.module_path])
-        except (ModuleError, ParseError, OSError, UnicodeDecodeError) as exc:
+        except (ModuleError, ParseError, OSError) as exc:
             raise BuildError(f"cannot load module {name}: {exc}") from exc
         for imported in module.imports:
             self._load_module(imported)
@@ -550,10 +550,6 @@ def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:
                     f"builder for {drv.name} did not produce output '{name}'",
                     derivation=drv_path)
         for name, final in drv.outputs.items():
-            dest = os.path.join(base_dir, str(final))
-            if os.path.exists(dest):
-                continue
-            shutil.move(staging[name], dest)
-            _make_tree_read_only(dest)
+            store.commit(final, lambda tmp: shutil.move(staging[name], tmp))
     finally:
         rmtree_rw(tmp)

@@ -90,7 +90,10 @@ def _parse_package(form: SList, env: HostEnv) -> Package:
 
 def load_deployment(path: Path, module_path) -> Gexp:
     """Read a deployment file and evaluate it to a gexp."""
-    forms = read_all(path.read_text(encoding="utf-8"))
+    try:
+        forms = read_all(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StagingError(f"{path}: not UTF-8 text: {exc}") from None
     if not forms:
         raise StagingError(f"{path}: empty deployment file")
     bindings = _base_bindings(path.resolve().parent, module_path)
@@ -237,8 +240,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"gexpkit: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("gexpkit: error: input nested too deeply (recursion limit)",
-              file=sys.stderr)
+        print("gexpkit: error: nesting or dependency chain too deep "
+              "(recursion limit)", file=sys.stderr)
         return 1
 
 

@@ -1,16 +1,17 @@
 """Staged code with escapes: construction, hygiene, and serialization.
 
-A gexp is a staged program fragment.  Staging runs three passes over
+A gexp is a staged program fragment.  Staging makes two passes over
 the source:
 
 1. deterministic alpha-renaming of every identifier bound by a
    recognized binding construct (hygiene),
-2. collection of the escape forms (``ungexp`` and friends), whose host
-   expressions are then evaluated left to right in the host
-   environment,
-3. compilation of the renamed body into a template: a closure that maps
+2. compilation of the renamed body into a template (a closure that maps
    one resolved value per escape to the final residual, without ever
-   re-traversing the body.
+   re-traversing the body) and, in the same walk, collection of the
+   escape forms (``ungexp`` and friends).
+
+The escapes' host expressions are then evaluated left to right in the
+host environment.
 
 Serialization (``gexp_to_sexp``) resolves each escape payload (output
 references become ``(getenv "name")`` calls, nested gexps serialize
@@ -123,15 +124,6 @@ class Gexp:
     def __post_init__(self):
         if self.template.arity != len(self.escapes):
             raise StagingError("template arity does not match escape count")
-
-
-@dataclass
-class RawEscape:
-    form: SList
-    expr: Optional[Sexp]      # host expression, or None for output refs
-    output: Optional[str]
-    native: bool
-    splicing: bool
 
 
 def _head_name(expr: Sexp) -> Optional[str]:
@@ -351,61 +343,40 @@ def alpha_rename(body: Sexp, digest: Digest) -> Sexp:
     return _Renamer(digest.hex[:4]).staged(body, {}, 0, 0, False)
 
 
-def _parse_escape(form: SList, native: bool, splicing: bool) -> RawEscape:
+def _parse_escape(form: SList) -> EscapeRef:
+    """An escape whose payload is its output name or its unevaluated
+    host expression."""
+    native, splicing = UNGEXP_HEADS[form.items[0].name]
     args = form.items[1:]
     if len(args) == 1 and args[0] == Symbol("output"):
-        return RawEscape(form, None, "out", native, splicing)
+        return EscapeRef(OutputName("out"), native, splicing)
     if (len(args) == 2 and args[0] == Symbol("output")
             and isinstance(args[1], String)):
-        return RawEscape(form, None, args[1].value, native, splicing)
+        return EscapeRef(OutputName(args[1].value), native, splicing)
     if len(args) == 1:
-        return RawEscape(form, args[0], None, native, splicing)
+        return EscapeRef(args[0], native, splicing)
     raise StagingError(f"malformed escape: {print_canonical(form)}")
 
 
-def collect_escapes(body: Sexp) -> list[RawEscape]:
-    """Escape forms of *body* in left-to-right depth-first order.
-
-    Quotation does not stop collection (escapes under quote are still
-    escapes), but escapes inside a nested ``(gexp ...)`` within a host
-    expression belong to that inner gexp and are not collected here.
-    """
-    found: list[RawEscape] = []
-
-    def walk(expr):
-        if not isinstance(expr, SList) or not expr.items:
-            return
-        head = _head_name(expr)
-        if head in UNGEXP_HEADS:
-            native, splicing = UNGEXP_HEADS[head]
-            found.append(_parse_escape(expr, native, splicing))
-            return
-        if head == "gexp":
-            raise StagingError(
-                "literal (gexp ...) in staged position; nest gexps through escapes")
-        for item in expr.items:
-            walk(item)
-
-    walk(body)
-    return found
-
-
-def substitute_escapes(body: Sexp, count: int) -> Template:
-    """Compile *body* into a template with one hole per escape.
+def substitute_escapes(body: Sexp) -> tuple[Template, list[EscapeRef]]:
+    """Compile *body* into a template with one hole per escape, and
+    return it with the escapes in left-to-right depth-first order.
 
     Escape positions are fixed at compile time; applying the template
     only assembles the result, it never searches the body again.
+    Quotation does not stop the walk (escapes under quote are still
+    escapes), and an escape's host expression is not entered, so
+    escapes of a nested ``(gexp ...)`` there belong to that inner gexp.
     """
-    counter = [0]
+    escapes: list[EscapeRef] = []
 
     def compile_node(expr):
         if isinstance(expr, SList) and expr.items:
-            head = _head_name(expr)
-            if head in UNGEXP_HEADS:
-                _, splicing = UNGEXP_HEADS[head]
-                index = counter[0]
-                counter[0] += 1
-                return (lambda args, i=index: args[i]), splicing
+            if _head_name(expr) in UNGEXP_HEADS:
+                escape = _parse_escape(expr)
+                escapes.append(escape)
+                index = len(escapes) - 1
+                return (lambda args, i=index: args[i]), escape.splicing
             parts = [compile_node(item) for item in expr.items]
 
             def build(args, parts=parts):
@@ -427,10 +398,7 @@ def substitute_escapes(body: Sexp, count: int) -> Template:
     fn, splicing = compile_node(body)
     if splicing:
         raise StagingError("splicing escape cannot be the whole gexp body")
-    if counter[0] != count:
-        raise StagingError(f"found {counter[0]} escapes while compiling "
-                           f"the template, expected {count}")
-    return Template(fn, count)
+    return Template(fn, len(escapes)), escapes
 
 
 def classify(value) -> object:
@@ -509,28 +477,24 @@ def eval_host(expr: Sexp, env: HostEnv, imported_modules=()):
 def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:
     """Stage *source* into a Gexp.
 
-    Renames binders, collects escapes, evaluates each escape's host
-    expression left to right in *env*, and compiles the template.  A
-    nested ``(gexp ...)`` inside a host expression stages at this
-    moment; lowering of embedded objects stays deferred until
-    serialization.
+    Renames binders, compiles the template while collecting the
+    escapes, then evaluates each escape's host expression left to
+    right in *env*.  A nested ``(gexp ...)`` inside a host expression
+    stages at this moment; lowering of embedded objects stays deferred
+    until serialization.
     """
     env = as_host_env(env)
     modules = coerce_module_names(list(imported_modules)) if imported_modules else ()
     digest = hash_sexp(source)
-    renamed = alpha_rename(source, digest)
-    raw = collect_escapes(renamed)
-    escapes = []
+    template, escapes = substitute_escapes(alpha_rename(source, digest))
     outputs: list[str] = []
-    for esc in raw:
-        if esc.output is not None:
-            payload = OutputName(esc.output)
-            if esc.output not in outputs:
-                outputs.append(esc.output)
+    for i, esc in enumerate(escapes):
+        if isinstance(esc.payload, OutputName):
+            if esc.payload.name not in outputs:
+                outputs.append(esc.payload.name)
         else:
-            payload = classify(eval_host(esc.expr, env, modules))
-        escapes.append(EscapeRef(payload, esc.native, esc.splicing))
-    template = substitute_escapes(renamed, len(raw))
+            escapes[i] = EscapeRef(classify(eval_host(esc.payload, env, modules)),
+                                   esc.native, esc.splicing)
     return Gexp(template, tuple(escapes), tuple(outputs), modules, digest)
 
 
@@ -570,11 +534,19 @@ def gexp_to_sexp(g: Gexp, system: str, target: Optional[str] = None,
     return g.template(args)
 
 
-def _walk_payloads(payload):
-    yield payload
-    if isinstance(payload, ListPayload):
-        for item in payload.items:
-            yield from _walk_payloads(item)
+def _payloads(g: Gexp):
+    """Every escape payload of *g* and of its nested gexps, depth first,
+    each with its effective native flag: a native escape makes all
+    payloads beneath it native."""
+    stack = [(esc.payload, esc.native) for esc in reversed(g.escapes)]
+    while stack:
+        payload, native = stack.pop()
+        yield payload, native
+        if isinstance(payload, ListPayload):
+            stack.extend((item, native) for item in reversed(payload.items))
+        elif isinstance(payload, NestedGexp):
+            stack.extend((esc.payload, native or esc.native)
+                         for esc in reversed(payload.gexp.escapes))
 
 
 def gexp_inputs(g: Gexp) -> list[EscapeRef]:
@@ -582,20 +554,10 @@ def gexp_inputs(g: Gexp) -> list[EscapeRef]:
     with its effective native flag, deduplicated by object identity."""
     seen = set()
     out: list[EscapeRef] = []
-
-    def walk(gx: Gexp, inherited_native: bool):
-        for esc in gx.escapes:
-            native = esc.native or inherited_native
-            for payload in _walk_payloads(esc.payload):
-                if isinstance(payload, Lowerable):
-                    key = (id(payload.obj), native)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(EscapeRef(payload, native=native, splicing=False))
-                elif isinstance(payload, NestedGexp):
-                    walk(payload.gexp, native)
-
-    walk(g, False)
+    for payload, native in _payloads(g):
+        if isinstance(payload, Lowerable) and (id(payload.obj), native) not in seen:
+            seen.add((id(payload.obj), native))
+            out.append(EscapeRef(payload, native=native, splicing=False))
     return out
 
 
@@ -603,32 +565,14 @@ def gexp_outputs(g: Gexp) -> list[str]:
     """Output names referenced by *g* or any nested gexp.  No default:
     empty means the gexp never mentions its outputs."""
     out: list[str] = []
-
-    def walk(gx: Gexp):
-        for esc in gx.escapes:
-            for payload in _walk_payloads(esc.payload):
-                if isinstance(payload, OutputName):
-                    if payload.name not in out:
-                        out.append(payload.name)
-                elif isinstance(payload, NestedGexp):
-                    walk(payload.gexp)
-
-    walk(g)
+    for payload, _ in _payloads(g):
+        if isinstance(payload, OutputName) and payload.name not in out:
+            out.append(payload.name)
     return out
 
 
 def gexp_modules(g: Gexp) -> tuple[ModuleName, ...]:
     """Imported-module names of *g* unioned with those of nested gexps."""
-    out: list[ModuleName] = []
-
-    def walk(gx: Gexp):
-        for name in gx.imported_modules:
-            if name not in out:
-                out.append(name)
-        for esc in gx.escapes:
-            for payload in _walk_payloads(esc.payload):
-                if isinstance(payload, NestedGexp):
-                    walk(payload.gexp)
-
-    walk(g)
-    return tuple(out)
+    nested = (p.gexp for p, _ in _payloads(g) if isinstance(p, NestedGexp))
+    return tuple(dict.fromkeys(
+        name for gx in (g, *nested) for name in gx.imported_modules))

@@ -110,7 +110,11 @@ def load_module(name: ModuleName, search_path: Sequence) -> ModuleFile:
     for directory in search_path:
         candidate = Path(directory) / name.relpath
         if candidate.is_file():
-            return parse_module_source(candidate.read_text(encoding="utf-8"), name)
+            try:
+                text = candidate.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ModuleError(f"{candidate}: not UTF-8 text: {exc}") from None
+            return parse_module_source(text, name)
     searched = ":".join(str(d) for d in search_path) or "<empty>"
     raise ModuleError(f"module not found: {name} (searched {searched})")
 

@@ -23,7 +23,6 @@ import hashlib
 import os
 import re
 import shutil
-import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -115,12 +114,13 @@ def _fingerprint_hash(kind: str, content_hex: str, name: str) -> str:
 
 
 def _make_tree_read_only(path: str) -> None:
+    if os.path.isfile(path):
+        os.chmod(path, 0o444)
+        return
     for dirpath, dirnames, filenames in os.walk(path, topdown=False):
         for fname in filenames:
             os.chmod(os.path.join(dirpath, fname), 0o444)
         os.chmod(dirpath, 0o555)
-    if os.path.isfile(path):
-        os.chmod(path, 0o444)
 
 
 def rmtree_rw(path: str) -> None:
@@ -145,10 +145,10 @@ class Store:
     store's life, so the lowering cache, keyed by (object, system,
     target), never mixes results from two search paths.
 
-    Writers stage new items in a temp location and rename them into
-    place, so interning is atomic and idempotent: re-interning existing
-    content is a no-op (the ``writes`` counter only moves on actual
-    materialization).
+    Every item enters through ``commit``, which stages it under the
+    prefix and renames it into place, so interning is atomic and
+    idempotent: re-interning existing content is a no-op (the
+    ``writes`` counter only moves on actual materialization).
     """
 
     def __init__(self, prefix="./store", module_path: Sequence = ()):
@@ -188,24 +188,7 @@ class Store:
         validate_store_name(name)
         content_hex = hashlib.sha256(data).hexdigest()
         path = self.object_path(_fingerprint_hash(kind, content_hex, name), name)
-        if path.fs.exists():
-            return path
-        with self._locked():
-            if path.fs.exists():
-                return path
-            fd, tmp = tempfile.mkstemp(dir=self.prefix, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.chmod(tmp, 0o444)
-                os.rename(tmp, path.fs)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.chmod(tmp, 0o644)
-                    os.remove(tmp)
-                raise
-            self.writes += 1
-        return path
+        return self.commit(path, lambda tmp: Path(tmp).write_bytes(data))
 
     def intern_dir(self, entries: Mapping[str, bytes], name: str) -> StorePath:
         """Intern a directory, content-addressed over the sorted
@@ -218,24 +201,38 @@ class Store:
             blob += relpath.encode("utf-8") + b"\n" + entries[relpath]
         content_hex = hashlib.sha256(blob).hexdigest()
         path = self.object_path(_fingerprint_hash("source", content_hex, name), name)
+
+        def fill(tmp):
+            os.mkdir(tmp)
+            for relpath in sorted(entries):
+                dest = Path(tmp) / relpath
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                dest.write_bytes(entries[relpath])
+
+        return self.commit(path, fill)
+
+    def commit(self, path: StorePath, fill) -> StorePath:
+        """Add the item that ``fill(tmp)`` creates at *path*.
+
+        *fill* makes a file or a directory tree at the fresh name *tmp*
+        under the prefix; the item is made read-only there and renamed
+        into place under the store lock.  An item already present counts
+        as success, so concurrent writers of one item all succeed and
+        ``writes`` counts it once.
+        """
         if path.fs.exists():
             return path
-        with self._locked():
-            if path.fs.exists():
-                return path
-            tmp = tempfile.mkdtemp(dir=self.prefix, prefix=".tmp-")
-            try:
-                for relpath in sorted(entries):
-                    dest = Path(tmp) / relpath
-                    dest.parent.mkdir(parents=True, exist_ok=True)
-                    dest.write_bytes(entries[relpath])
-                _make_tree_read_only(tmp)
-                os.rename(tmp, path.fs)
-            except BaseException:
-                rmtree_rw(tmp)
+        tmp = os.path.join(self.prefix, f".tmp-{os.urandom(8).hex()}")
+        try:
+            fill(tmp)
+            _make_tree_read_only(tmp)
+            with self._locked():
                 if not path.fs.exists():
-                    raise
-            self.writes += 1
+                    os.rename(tmp, path.fs)
+                    self.writes += 1
+        finally:
+            if os.path.lexists(tmp):
+                rmtree_rw(tmp)
         return path
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gexpkit import builder
 from gexpkit import (BuildError, EvalEnv, Package, Store, build,
                      gexp_to_derivation, mini_eval, plan, read, read_all,
                      stage, write_derivation)
@@ -292,6 +293,39 @@ class TestBuild:
         assert not errors
         assert (Path(str(first.outputs["out"])) / "tag").read_text() == "one"
         assert (Path(str(second.outputs["out"])) / "tag").read_text() == "two"
+
+    def test_concurrent_builds_of_one_derivation(self, store, monkeypatch):
+        # Every builder finishes before any of them registers its output,
+        # so each round all threads race to put one directory in the store.
+        workers = 4
+        barrier = threading.Barrier(workers)
+        real_eval = builder.mini_eval
+
+        def eval_then_meet(*args, **kwargs):
+            result = real_eval(*args, **kwargs)
+            barrier.wait(timeout=30)
+            return result
+
+        monkeypatch.setattr(builder, "mini_eval", eval_then_meet)
+        errors = []
+
+        def run(d):
+            try:
+                build(Store("./store"), d)
+            except Exception as exc:
+                errors.append(exc)
+
+        for n in range(20):
+            d = simple_derivation(store, f"race{n}")
+            threads = [threading.Thread(target=run, args=(d,))
+                       for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors, f"round {n}: {errors!r}"
+            out = Path(str(d.outputs["out"]))
+            assert (out / "tag").read_text() == f"race{n}"
 
 
 class TestReproducibility:

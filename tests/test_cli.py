@@ -19,6 +19,18 @@ MODULE_DEPLOY = """\
 """
 
 
+def package_chain(length):
+    """A deployment of *length* packages, each embedding the one before;
+    the text nests no deeper than one package."""
+    forms = ['(define-package p0 (package (name "p0") (version "1")'
+             ' (build #~(mkdir #$output))))']
+    for i in range(1, length):
+        forms.append(f'(define-package p{i} (package (name "p{i}")'
+                     f' (version "1") (build #~(list #$output #$p{i - 1}))))')
+    forms.append(f"#~(list #$output #$p{length - 1})")
+    return "\n".join(forms).encode()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -182,18 +194,27 @@ class TestFailureModes:
         assert "deliberate" in err
         assert "boom.drv" in err
 
-    @pytest.mark.parametrize("text", [
-        b"#~(quote " + b"(" * 3000 + b")" * 3000 + b")",
-        b'#~(write-file #$output "\xff")',
-    ], ids=["deep-nesting", "not-utf8"])
+    @pytest.mark.parametrize("files, named", [
+        ({"hostile.scm": b"#~(quote " + b"(" * 3000 + b")" * 3000 + b")"},
+         "too deep"),
+        ({"hostile.scm": b'#~(write-file #$output "\xff")'}, "hostile.scm"),
+        ({"hostile.scm": MODULE_DEPLOY.encode(),
+          "mods/demo/util/a.scm":
+              b'(define-module (demo util a))\n(define (a-label) "\xff")\n'},
+         "demo/util/a.scm"),
+        ({"hostile.scm": package_chain(400)}, "too deep"),
+    ], ids=["deep-nesting", "not-utf8", "not-utf8-module", "long-chain"])
     def test_hostile_input_exits_1_without_traceback(self, capsys, scratch,
-                                                     text):
-        hostile = scratch / "hostile.scm"
-        hostile.write_bytes(text)
-        code, _, err = run(capsys, "lower", str(hostile))
+                                                     files, named):
+        for relpath, data in files.items():
+            (scratch / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (scratch / relpath).write_bytes(data)
+        code, _, err = run(capsys, "lower", str(scratch / "hostile.scm"),
+                           "--module-path", "mods")
         assert code == 1
         assert err.startswith("gexpkit: error:")
         assert "Traceback" not in err
+        assert named in err
 
     def test_use_modules_without_import_exits_2(self, capsys, scratch,
                                                 module_dir):

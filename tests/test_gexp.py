@@ -9,7 +9,7 @@ from gexpkit import (Boolean, EvalEnv, Integer, SList, StagingError, String,
                      gexp_modules, gexp_outputs, gexp_to_sexp, hash_sexp,
                      mini_eval, print_canonical, read, slist, stage)
 from gexpkit.gexp import (HostEnv, Literal, Lowerable, NestedGexp, OutputName,
-                          collect_escapes)
+                          substitute_escapes)
 
 from strategies import sexps
 
@@ -56,8 +56,36 @@ class TestEscapeCollection:
 
     def test_collect_does_not_enter_nested_gexp_in_host_exprs(self):
         renamed = read("(f (ungexp (g (gexp (h (ungexp inner))))))")
-        raw = collect_escapes(renamed)
+        template, raw = substitute_escapes(renamed)
         assert len(raw) == 1
+        assert template.arity == 1
+        # Under quasiquote/unquote too, #$a, the escape holding the
+        # nested #~ and #$b belong to the outer gexp, in that order;
+        # #$inner belongs to the nested one.
+        inner = Thing()
+        g = stage(read("(f `(x ,#$a ,(g #$(id #~(h #$inner)))) #$b)"),
+                  {"a": 1, "b": 2, "inner": inner, "id": lambda v: v})
+        kinds = [type(e.payload) for e in g.escapes]
+        assert kinds == [Literal, NestedGexp, Literal]
+        nested = g.escapes[1].payload.gexp
+        assert [e.payload.obj for e in nested.escapes] == [inner]
+        assert residual(g, resolver=lambda o, s, t: String("inner")) == (
+            '(f (quasiquote (x (unquote 1) (unquote (g (h "inner"))))) 2)')
+
+    @pytest.mark.parametrize("source, message", [
+        ("(list #$(record 1) (ungexp a b))", "malformed escape"),
+        ("#$@(record 1)", "whole gexp body"),
+    ], ids=["malformed-escape", "whole-body-splice"])
+    def test_rejected_before_any_host_code_runs(self, source, message):
+        calls = []
+
+        def record(value):
+            calls.append(value)
+            return [value]
+
+        with pytest.raises(StagingError, match=message):
+            stage(read(source), {"record": record, "a": 1, "b": 2})
+        assert calls == []
 
     def test_literal_gexp_in_staged_position_rejected(self):
         with pytest.raises(StagingError):
