@@ -31,8 +31,8 @@ from .gexp import Gexp, HostEnv, StagingError, _head_name, eval_host
 from .lowerable import (FileAppend, LocalFile, LoweringError, Package,
                         PlainFile)
 from .modules import ModuleError, source_module_closure
-from .sexp import ParseError, SList, String, Symbol, read, read_all
-from .store import (DEFAULT_SYSTEM, Store, StoreError, derivation_from_sexp,
+from .sexp import ParseError, SList, String, Symbol, read_all
+from .store import (DEFAULT_SYSTEM, Store, StoreError, _parse_derivation,
                     gexp_to_derivation, write_derivation)
 
 
@@ -171,7 +171,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    d = derivation_from_sexp(read(Path(args.drv).read_text(encoding="utf-8")))
+    d = _parse_derivation(Path(args.drv).read_bytes(), args.drv)
     print(f"name: {d.name}")
     print(f"system: {d.system}")
     print(f"target: {d.target if d.target is not None else '(none)'}")

@@ -32,8 +32,8 @@ from typing import Mapping, Optional, Sequence
 from .gexp import Gexp, gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp
 from .lowerable import LoweringError, lower_object, make_resolver
 from .modules import intern_module_closure, source_module_closure
-from .sexp import (Boolean, Sexp, SList, String, Symbol, print_canonical,
-                   slist)
+from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
+                   print_canonical, read, slist)
 
 DEFAULT_SYSTEM = "x86_64-linux"
 
@@ -149,6 +149,14 @@ class Store:
     prefix and renames it into place, so interning is atomic and
     idempotent: re-interning existing content is a no-op (the
     ``writes`` counter only moves on actual materialization).
+
+    Derivations are memoized by content: ``derivations`` maps canonical
+    ``.drv`` bytes to the ``Derivation`` they parse to, and ``validated``
+    holds the texts this store's ``write_derivation`` has checked.  Both
+    last only as long as the Store.  A ``.drv`` file is still read on
+    every ``read_derivation``, so a rewritten file is parsed afresh and
+    never answered from a stale entry.  Every caller gets one shared
+    ``Derivation`` per text and must not mutate it.
     """
 
     def __init__(self, prefix="./store", module_path: Sequence = ()):
@@ -156,6 +164,8 @@ class Store:
         Path(self.prefix).mkdir(parents=True, exist_ok=True)
         self.writes = 0
         self.lower_cache: dict = {}
+        self.derivations: dict[bytes, Derivation] = {}
+        self.validated: set[bytes] = set()
         self.module_path = tuple(module_path)
         self._tlock = threading.Lock()
 
@@ -389,8 +399,21 @@ def write_derivation(store: Store, d: Derivation) -> StorePath:
 
     All referenced paths (builder, sources, input derivation files)
     must already exist, and every store path mentioned by the builder
-    text must be accounted for by the input lists or the outputs.
+    text must be accounted for by the input lists or the outputs.  A
+    text this store has already validated is only committed.
     """
+    sexp = derivation_to_sexp(d)
+    data = print_canonical(sexp).encode("utf-8")
+    if data not in store.validated:
+        _check_references(store, d)
+        store.validated.add(data)
+    path = store._intern_bytes("text", data, f"{d.name}.drv")
+    if data not in store.derivations:
+        store.derivations[data] = derivation_from_sexp(sexp)
+    return path
+
+
+def _check_references(store: Store, d: Derivation) -> None:
     for path in (d.builder, *d.input_sources, *(p for p, _ in d.input_drvs)):
         if not isinstance(path, StorePath) or not store.contains(path):
             raise StoreError(f"dangling reference in {d.name}: {path}")
@@ -412,18 +435,28 @@ def write_derivation(store: Store, d: Derivation) -> StorePath:
         if ref not in allowed:
             raise StoreError(f"builder of {d.name} references unlisted path {ref}")
 
-    return store._intern_bytes("text", derivation_text(d).encode("utf-8"),
-                               f"{d.name}.drv")
-
 
 def read_derivation(store: Store, path) -> Derivation:
     if isinstance(path, str):
         path = parse_store_path(path)
     if not store.contains(path):
         raise StoreError(f"no such derivation: {path}")
-    from .sexp import read
+    data = store.read_bytes(path)
+    d = store.derivations.get(data)
+    if d is None:
+        d = store.derivations[data] = _parse_derivation(data, path)
+    return d
 
-    return derivation_from_sexp(read(store.read_bytes(path).decode("utf-8")))
+
+def _parse_derivation(data: bytes, source) -> Derivation:
+    """The derivation in the ``.drv`` bytes *data*; undecodable or
+    malformed bytes raise a StoreError naming *source*."""
+    try:
+        return derivation_from_sexp(read(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{source}: not UTF-8 text: {exc}") from None
+    except (ParseError, StoreError) as exc:
+        raise StoreError(f"{source}: {exc}") from None
 
 
 def gexp_to_derivation(store: Store, name: str, g: Gexp,

@@ -132,6 +132,18 @@ class TestShowAndAdd:
         assert "-image.png" in out
         assert "out = ./store/" in out
 
+    @pytest.mark.parametrize("data", [
+        b'(derivation "\xff")', b"(derivation", b"(not-a-derivation)",
+    ], ids=["not-utf8", "syntax-error", "not-a-derivation"])
+    def test_show_unreadable_drv_exits_1_naming_it(self, capsys, scratch,
+                                                    data):
+        (scratch / "bad.drv").write_bytes(data)
+        code, out, err = run(capsys, "show", "bad.drv")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gexpkit: error: bad.drv: ")
+        assert "Traceback" not in err
+
     def test_add_idempotent(self, capsys, scratch):
         (scratch / "blob").write_bytes(b"blob")
         _, first, _ = run(capsys, "add", "blob")

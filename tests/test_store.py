@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from gexpkit import (Derivation, PlainFile, Store, StoreError, StorePath,
-                     derivation_from_sexp, derivation_text,
+import gexpkit.store
+from gexpkit import (Derivation, Package, PlainFile, Store, StoreError,
+                     StorePath, build, derivation_from_sexp, derivation_text,
                      find_store_references, gexp_to_derivation, output_path,
                      parse_store_path, read, read_derivation, stage,
                      write_derivation)
@@ -159,6 +160,80 @@ class TestDerivations:
         refs = find_store_references(store.read_bytes(d.builder).decode(),
                                      store.prefix)
         assert refs == [str(d.input_sources[0])]
+
+
+def chain_gexp(length):
+    """A gexp embedding the last of *length* packages, each of which
+    embeds the one before."""
+    pkg = Package("p0", "1", stage(read("(mkdir #$output)")))
+    for i in range(1, length):
+        pkg = Package(f"p{i}", "1", stage(
+            read("(begin (mkdir #$output) (list #$dep))"), {"dep": pkg}))
+    return stage(read("(begin (mkdir #$output) (list #$dep))"), {"dep": pkg})
+
+
+class TestDerivationMemo:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts store.py hands to the reader, in call order."""
+        texts = []
+        real_read = gexpkit.store.read
+
+        def counting_read(text):
+            texts.append(text)
+            return real_read(text)
+
+        monkeypatch.setattr(gexpkit.store, "read", counting_read)
+        return texts
+
+    def test_each_drv_parsed_at_most_once_per_store(self, store, parsed):
+        d = gexp_to_derivation(store, "top", chain_gexp(20))
+        log = []
+        build(store, d, log=log)
+        assert [action for action, _ in log] == ["build"] * 21
+        assert parsed == []
+
+        fresh = Store("./store")
+        log = []
+        build(fresh, d, log=log)
+        assert [action for action, _ in log] == ["cached"] * 21
+        assert parsed
+        assert len(parsed) == len(set(parsed))
+
+    def test_rewritten_drv_is_parsed_afresh(self, store):
+        d = golden_example(store)
+        path = write_derivation(store, d)
+        assert derivation_text(read_derivation(store, path)) == \
+            derivation_text(d)
+        changed = replace(d, env={**d.env, "TZ": "UTC"})
+        os.chmod(path.fs, 0o644)
+        path.fs.write_text(derivation_text(changed))
+        assert derivation_text(read_derivation(store, path)) == \
+            derivation_text(changed)
+
+    def test_text_read_but_not_written_is_still_validated(self, store):
+        ghost = StorePath(store.prefix, "0" * 32, "ghost")
+        d = Derivation(name="x", system="x86_64-linux", target=None,
+                       builder=ghost, outputs={"out": ghost})
+        path = store._intern_bytes("text", derivation_text(d).encode(),
+                                   "x.drv")
+        loaded = read_derivation(store, path)
+        with pytest.raises(StoreError, match="dangling reference"):
+            write_derivation(store, loaded)
+
+    def test_missing_drv(self, store):
+        path = StorePath(store.prefix, "0" * 32, "absent.drv")
+        with pytest.raises(StoreError, match="no such derivation"):
+            read_derivation(store, path)
+
+    @pytest.mark.parametrize("data", [
+        b'(derivation "\xff")', b"(derivation", b"(not-a-derivation)",
+    ], ids=["not-utf8", "syntax-error", "not-a-derivation"])
+    def test_unreadable_drv_is_a_store_error_naming_it(self, store, data):
+        path = store._intern_bytes("text", data, "bad.drv")
+        with pytest.raises(StoreError) as info:
+            read_derivation(store, path)
+        assert str(path) in str(info.value)
 
 
 class TestOutputPaths:
