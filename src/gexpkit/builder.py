@@ -1,6 +1,11 @@
 """Build execution: dependency planning plus a small strict evaluator
 for builder programs.
 
+The evaluator compiles each form once into flat instructions and runs
+them on an explicit value stack and control stack.  Calls in tail
+position, named-let loops included, replace the current call, so loops
+run in constant space; other calls may nest MAX_CALL_DEPTH deep.
+
 Builders run hermetically: the only ambient state they see is the
 variable map handed to the evaluator (output paths, SYSTEM, TARGET,
 MODULE_PATH, TMPDIR), reached through ``getenv``.  Outputs are produced
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .gexp import _arity, _arity_message
 from .modules import ModuleError, ModuleName, load_module
 from .sexp import (Boolean, Integer, Keyword, ParseError, Sexp, SList, String,
                    Symbol, read_all)
@@ -40,36 +46,46 @@ class EvalEnv:
     step_budget: int = 10_000_000
 
 
+# Deepest chain of pending (non-tail) procedure calls a builder program
+# may build up.  Tail calls and named-let re-entry replace the current
+# call instead of nesting, so loops never count toward it.
+MAX_CALL_DEPTH = 10_000
+
+
 class _Frame:
+    """One scope: a dict of bindings and the enclosing scope.  ``define``
+    binds in the frame it runs in."""
+
     __slots__ = ("vars", "parent")
 
     def __init__(self, vars, parent):
         self.vars = vars
         self.parent = parent
 
-    def lookup(self, name: str):
-        frame = self
-        while frame is not None:
-            if name in frame.vars:
-                value = frame.vars[name]
-                if value is _UNASSIGNED:
-                    raise BuildError(f"variable used before initialization: {name}")
-                return value
-            frame = frame.parent
-        raise BuildError(f"unbound variable: {name}")
-
-    def assign(self, name: str, value) -> None:
-        self.vars[name] = value
-
 
 class _Closure:
-    __slots__ = ("params", "body", "frame", "name")
+    __slots__ = ("params", "code", "frame", "name")
 
-    def __init__(self, params, body, frame, name="lambda"):
+    def __init__(self, params, code, frame, name):
         self.params = params
-        self.body = body
+        self.code = code
         self.frame = frame
         self.name = name
+
+
+class _Primitive:
+    """A built-in procedure.  *fn* takes the EvalEnv, then the Scheme
+    arguments; the accepted argument counts are read off its code once."""
+
+    __slots__ = ("name", "fn", "lo", "hi")
+
+    def __init__(self, name, fn):
+        self.name = name
+        self.fn = fn
+        self.lo, self.hi = _arity(fn, skip=1)
+
+    def __repr__(self):
+        return f"#<procedure {self.name}>"
 
 
 _UNASSIGNED = object()
@@ -125,185 +141,347 @@ def _check_str(value, op: str) -> str:
     return value
 
 
-class _Evaluator:
-    def __init__(self, env: EvalEnv):
-        self.env = env
+# compiler
+#
+# Each form is compiled once into a flat list of instructions, triples
+# (opcode, steps, operand): *steps* is the number of syntax nodes whose
+# evaluation begins at that instruction, so the step count is the one a
+# tree walk gets by counting every node it visits.  A form in tail
+# position ends in _RETURN or _TAILCALL.
+
+(_LOAD, _CONST, _CALL, _TAILCALL, _JUMP_IF_FALSE, _RETURN, _POP, _JUMP,
+ _DEFINE, _BIND, _CLOSURE, _LOOP, _ENTER, _FRAME, _LEAVE, _MODULES,
+ _FAIL) = range(17)
+
+
+def _bindings(form, what):
+    if not isinstance(form, SList):
+        raise BuildError(f"malformed {what} bindings")
+    pairs = []
+    for binding in form.items:
+        if not (isinstance(binding, SList) and len(binding) == 2
+                and isinstance(binding.items[0], Symbol)):
+            raise BuildError(f"malformed {what} binding")
+        pairs.append((binding.items[0].name, binding.items[1]))
+    return pairs
+
+
+def _compile_body(forms) -> list:
+    """The code of a procedure body or a program: *forms* in sequence,
+    the last in tail position."""
+    compiler = _Compiler()
+    compiler.sequence(forms, True)
+    return compiler.code
+
+
+class _Compiler:
+    """Syntax to instructions.  A malformed form compiles to _FAIL with
+    its error message, so it fails only if it is executed."""
+
+    def __init__(self):
+        self.code: list = []
         self.steps = 0
-        self.loaded_modules: set = set()
-        self.globals = _Frame(dict(self._builtins()), None)
 
-    # program driver
+    def emit(self, op, a=None) -> int:
+        self.code.append((op, self.steps, a))
+        self.steps = 0
+        return len(self.code) - 1
 
-    def run(self, forms):
-        value = None
-        for form in forms:
-            value = self.eval(form, self.globals)
-        return value
+    def value(self, op, a, tail) -> None:
+        self.emit(op, a)
+        if tail:
+            self.emit(_RETURN)
 
-    def eval(self, expr: Sexp, frame: _Frame):
+    def patch(self, at: int) -> None:
+        """Point the jump at *at* to the next instruction emitted."""
+        op, steps, _ = self.code[at]
+        self.code[at] = (op, steps, len(self.code))
+
+    def sequence(self, forms, tail) -> None:
+        if not forms:
+            self.value(_CONST, None, tail)
+            return
+        for form in forms[:-1]:
+            self.expr(form, False)
+            self.emit(_POP)
+        self.expr(forms[-1], tail)
+
+    def expr(self, expr: Sexp, tail: bool) -> None:
         self.steps += 1
-        if self.steps > self.env.step_budget:
-            raise BuildError(
-                f"step budget exceeded ({self.env.step_budget} steps)")
-        if isinstance(expr, Integer):
-            return expr.value
-        if isinstance(expr, String):
-            return expr.value
-        if isinstance(expr, Boolean):
-            return expr.value
-        if isinstance(expr, Keyword):
-            return expr
-        if isinstance(expr, Symbol):
-            return frame.lookup(expr.name)
-        if not isinstance(expr, SList):
-            raise BuildError(f"cannot evaluate {expr!r}")
-        if not expr.items:
-            raise BuildError("cannot evaluate ()")
-        head = expr.items[0]
-        if isinstance(head, Symbol):
-            special = self._SPECIAL.get(head.name)
+        if isinstance(expr, SList):
+            if not expr.items:
+                self.emit(_FAIL, "cannot evaluate ()")
+                return
+            head = expr.items[0]
+            special = _SPECIAL.get(head.name) if isinstance(head, Symbol) else None
             if special is not None:
-                return special(self, expr, frame)
-        fn = self.eval(head, frame)
-        args = [self.eval(arg, frame) for arg in expr.items[1:]]
-        return self.apply(fn, args)
+                try:
+                    special(self, expr, tail)
+                except BuildError as exc:
+                    self.emit(_FAIL, str(exc))
+                return
+            for item in expr.items:
+                self.expr(item, False)
+            self.emit(_TAILCALL if tail else _CALL, len(expr.items) - 1)
+        elif isinstance(expr, (Integer, String, Boolean)):
+            self.value(_CONST, expr.value, tail)
+        elif isinstance(expr, Keyword):
+            self.value(_CONST, expr, tail)
+        elif isinstance(expr, Symbol):
+            self.value(_LOAD, expr.name, tail)
+        else:
+            self.emit(_FAIL, f"cannot evaluate {expr!r}")
 
-    def apply(self, fn, args):
-        if isinstance(fn, _Closure):
-            if len(args) != len(fn.params):
-                raise BuildError(
-                    f"{fn.name}: expected {len(fn.params)} arguments, "
-                    f"got {len(args)}")
-            frame = _Frame(dict(zip(fn.params, args)), fn.frame)
-            value = None
-            for form in fn.body:
-                value = self.eval(form, frame)
-            return value
-        if callable(fn):
-            return fn(*args)
-        raise BuildError(f"not a procedure: {_display(fn)}")
+    # special forms: each checks the whole form before emitting anything
+    # and raises BuildError, which `expr` turns into _FAIL
 
-    # special forms
+    def scope_body(self, forms, tail) -> None:
+        self.sequence(forms, tail)
+        if not tail:
+            self.emit(_LEAVE)
 
-    def _sf_quote(self, expr, frame):
+    def sf_quote(self, expr, tail):
         if len(expr) != 2:
             raise BuildError("malformed quote")
-        return _datum(expr.items[1])
+        self.value(_CONST, _datum(expr.items[1]), tail)
 
-    def _sf_if(self, expr, frame):
+    def sf_if(self, expr, tail):
         if len(expr) not in (3, 4):
             raise BuildError("malformed if")
-        if self.eval(expr.items[1], frame) is not False:
-            return self.eval(expr.items[2], frame)
+        self.expr(expr.items[1], False)
+        test = self.emit(_JUMP_IF_FALSE)
+        self.expr(expr.items[2], tail)
+        if not tail:
+            done = self.emit(_JUMP)
+        self.patch(test)
         if len(expr) == 4:
-            return self.eval(expr.items[3], frame)
-        return None
+            self.expr(expr.items[3], tail)
+        else:
+            self.value(_CONST, None, tail)
+        if not tail:
+            self.patch(done)
 
-    def _sf_begin(self, expr, frame):
-        value = None
-        for form in expr.items[1:]:
-            value = self.eval(form, frame)
-        return value
+    def sf_begin(self, expr, tail):
+        self.sequence(expr.items[1:], tail)
 
-    def _sf_define(self, expr, frame):
-        if len(expr) < 2:
-            raise BuildError("malformed define")
-        target = expr.items[1]
-        if isinstance(target, Symbol):
-            if len(expr) != 3:
-                raise BuildError("malformed define")
-            frame.assign(target.name, self.eval(expr.items[2], frame))
-            return None
-        if (isinstance(target, SList) and target.items
+    def sf_define(self, expr, tail):
+        items = expr.items
+        target = items[1] if len(items) >= 2 else None
+        if isinstance(target, Symbol) and len(items) == 3:
+            self.expr(items[2], False)
+            self.value(_DEFINE, target.name, tail)
+        elif (isinstance(target, SList) and target.items
                 and all(isinstance(p, Symbol) for p in target.items)
-                and len(expr) >= 3):
+                and len(items) >= 3):
             name = target.items[0].name
-            params = [p.name for p in target.items[1:]]
-            frame.assign(name, _Closure(params, expr.items[2:], frame, name))
-            return None
-        raise BuildError("malformed define")
+            params = tuple(p.name for p in target.items[1:])
+            self.emit(_CLOSURE, (params, _compile_body(items[2:]), name))
+            self.value(_DEFINE, name, tail)
+        else:
+            raise BuildError("malformed define")
 
-    def _sf_lambda(self, expr, frame):
+    def sf_lambda(self, expr, tail):
         if len(expr) < 3:
             raise BuildError("malformed lambda")
         params_form = expr.items[1]
         if not (isinstance(params_form, SList)
                 and all(isinstance(p, Symbol) for p in params_form.items)):
             raise BuildError("lambda parameters must be a list of symbols")
-        return _Closure([p.name for p in params_form.items],
-                        expr.items[2:], frame)
+        params = tuple(p.name for p in params_form.items)
+        self.value(_CLOSURE,
+                   (params, _compile_body(expr.items[2:]), "lambda"), tail)
 
-    def _bindings(self, form, what):
-        if not isinstance(form, SList):
-            raise BuildError(f"malformed {what} bindings")
-        pairs = []
-        for binding in form.items:
-            if not (isinstance(binding, SList) and len(binding) == 2
-                    and isinstance(binding.items[0], Symbol)):
-                raise BuildError(f"malformed {what} binding")
-            pairs.append((binding.items[0].name, binding.items[1]))
-        return pairs
-
-    def _sf_let(self, expr, frame):
-        if len(expr) >= 3 and isinstance(expr.items[1], Symbol):
-            return self._named_let(expr, frame)
-        if len(expr) < 3:
+    def sf_let(self, expr, tail):
+        items = expr.items
+        if len(items) >= 3 and isinstance(items[1], Symbol):
+            if len(items) < 4:
+                raise BuildError("malformed named let")
+            pairs = _bindings(items[2], "let")
+            params = tuple(name for name, _ in pairs)
+            self.emit(_LOOP, (params, _compile_body(items[3:]), items[1].name))
+            for _, init in pairs:
+                self.expr(init, False)
+            self.emit(_TAILCALL if tail else _CALL, len(pairs))
+            return
+        if len(items) < 3:
             raise BuildError("malformed let")
-        pairs = self._bindings(expr.items[1], "let")
-        values = [self.eval(init, frame) for _, init in pairs]
-        inner = _Frame({name: v for (name, _), v in zip(pairs, values)}, frame)
-        value = None
-        for form in expr.items[2:]:
-            value = self.eval(form, inner)
-        return value
+        pairs = _bindings(items[1], "let")
+        for _, init in pairs:
+            self.expr(init, False)
+        self.emit(_ENTER, tuple(name for name, _ in pairs))
+        self.scope_body(items[2:], tail)
 
-    def _named_let(self, expr, frame):
-        if len(expr) < 4:
-            raise BuildError("malformed named let")
-        loop_name = expr.items[1].name
-        pairs = self._bindings(expr.items[2], "let")
-        args = [self.eval(init, frame) for _, init in pairs]
-        loop_frame = _Frame({}, frame)
-        closure = _Closure([name for name, _ in pairs], expr.items[3:],
-                           loop_frame, loop_name)
-        loop_frame.assign(loop_name, closure)
-        return self.apply(closure, args)
-
-    def _sf_let_star(self, expr, frame):
+    def sequential_let(self, expr, tail, what, recursive):
         if len(expr) < 3:
-            raise BuildError("malformed let*")
-        inner = _Frame({}, frame)
-        for name, init in self._bindings(expr.items[1], "let*"):
-            inner.assign(name, self.eval(init, inner))
-        value = None
-        for form in expr.items[2:]:
-            value = self.eval(form, inner)
-        return value
-
-    def _sf_letrec(self, expr, frame):
-        if len(expr) < 3:
-            raise BuildError("malformed letrec")
-        pairs = self._bindings(expr.items[1], "letrec")
-        inner = _Frame({name: _UNASSIGNED for name, _ in pairs}, frame)
+            raise BuildError(f"malformed {what}")
+        pairs = _bindings(expr.items[1], what)
+        self.emit(_FRAME, tuple(name for name, _ in pairs) if recursive else ())
         for name, init in pairs:
-            inner.assign(name, self.eval(init, inner))
-        value = None
-        for form in expr.items[2:]:
-            value = self.eval(form, inner)
-        return value
+            self.expr(init, False)
+            self.emit(_BIND, name)
+        self.scope_body(expr.items[2:], tail)
 
-    def _sf_use_modules(self, expr, frame):
+    def sf_use_modules(self, expr, tail):
+        names = []
         for form in expr.items[1:]:
             try:
-                name = ModuleName.from_sexp(form)
+                names.append((ModuleName.from_sexp(form), None))
             except ModuleError as exc:
-                raise BuildError(str(exc)) from exc
-            self._load_module(name)
-        return None
+                names.append((None, str(exc)))
+        self.value(_MODULES, tuple(names), tail)
 
-    _SPECIAL = {}
 
-    # module loading
+_SPECIAL = {
+    "quote": _Compiler.sf_quote,
+    "if": _Compiler.sf_if,
+    "begin": _Compiler.sf_begin,
+    "define": _Compiler.sf_define,
+    "lambda": _Compiler.sf_lambda,
+    "let": _Compiler.sf_let,
+    "let*": lambda c, expr, tail: c.sequential_let(expr, tail, "let*", False),
+    "letrec": lambda c, expr, tail: c.sequential_let(expr, tail, "letrec", True),
+    "letrec*": lambda c, expr, tail: c.sequential_let(expr, tail, "letrec", True),
+    "use-modules": _Compiler.sf_use_modules,
+}
+
+
+# run loop
+
+class _Evaluator:
+    def __init__(self, env: EvalEnv):
+        self.env = env
+        self.steps = 0
+        self.loaded_modules: set = set()
+        self.globals = _Frame(dict(_PRIMITIVES), None)
+
+    def run(self, code, frame):
+        """Execute *code* in *frame* and return its value.
+
+        Operands and results live on *stack*.  A non-tail call of a
+        closure saves the caller's (code, pc, frame) on *control*; a tail
+        call saves nothing, so host recursion never grows with the
+        program's call depth.
+        """
+        env = self.env
+        budget = env.step_budget
+        steps = self.steps
+        stack: list = []
+        push = stack.append
+        control: list = []
+        pc = 0
+        try:
+            while True:
+                op, weight, a = code[pc]
+                pc += 1
+                if weight:
+                    steps += weight
+                    if steps > budget:
+                        raise BuildError(
+                            f"step budget exceeded ({budget} steps)")
+                if op == _LOAD:
+                    scope = frame
+                    bound = scope.vars
+                    while a not in bound:
+                        scope = scope.parent
+                        if scope is None:
+                            raise BuildError(f"unbound variable: {a}")
+                        bound = scope.vars
+                    value = bound[a]
+                    if value is _UNASSIGNED:
+                        raise BuildError(
+                            f"variable used before initialization: {a}")
+                    push(value)
+                elif op == _CONST:
+                    push(a)
+                elif op == _CALL or op == _TAILCALL:
+                    # The operands are stack[-a:], the procedure is below
+                    # them.  One and two operands are spelled out: that is
+                    # several times cheaper than zip() or a *-call.
+                    fn = stack[-a - 1]
+                    if type(fn) is _Closure:
+                        params = fn.params
+                        if len(params) != a:
+                            raise BuildError(
+                                f"{fn.name}: expected {len(params)} "
+                                f"arguments, got {a}")
+                        if a == 1:
+                            bound = {params[0]: stack[-1]}
+                        elif a == 2:
+                            bound = {params[0]: stack[-2], params[1]: stack[-1]}
+                        else:
+                            bound = dict(zip(params, stack[len(stack) - a:]))
+                        del stack[-a - 1:]
+                        if op == _CALL:
+                            control.append((code, pc, frame))
+                            if len(control) > MAX_CALL_DEPTH:
+                                raise BuildError(
+                                    "recursion too deep: more than "
+                                    f"{MAX_CALL_DEPTH} nested calls")
+                        code, pc, frame = fn.code, 0, _Frame(bound, fn.frame)
+                        continue
+                    if type(fn) is not _Primitive:
+                        raise BuildError(f"not a procedure: {_display(fn)}")
+                    if not fn.lo <= a <= fn.hi:
+                        raise BuildError(
+                            _arity_message(fn.name, fn.lo, fn.hi, a))
+                    if a == 1:
+                        value = fn.fn(env, stack[-1])
+                    elif a == 2:
+                        value = fn.fn(env, stack[-2], stack[-1])
+                    else:
+                        value = fn.fn(env, *stack[len(stack) - a:])
+                    del stack[-a - 1:]
+                    if op == _CALL:
+                        push(value)
+                    elif control:
+                        push(value)
+                        code, pc, frame = control.pop()
+                    else:
+                        return value
+                elif op == _JUMP_IF_FALSE:
+                    if stack.pop() is False:
+                        pc = a
+                elif op == _RETURN:
+                    if not control:
+                        return stack.pop()
+                    code, pc, frame = control.pop()
+                elif op == _POP:
+                    del stack[-1]
+                elif op == _JUMP:
+                    pc = a
+                elif op == _DEFINE:
+                    frame.vars[a] = stack[-1]
+                    stack[-1] = None
+                elif op == _BIND:
+                    frame.vars[a] = stack.pop()
+                elif op == _CLOSURE:
+                    push(_Closure(a[0], a[1], frame, a[2]))
+                elif op == _LOOP:
+                    # a named let's procedure, bound in a frame of its own
+                    params, body, name = a
+                    scope = _Frame({}, frame)
+                    scope.vars[name] = loop = _Closure(params, body, scope, name)
+                    push(loop)
+                elif op == _ENTER:
+                    base = len(stack) - len(a)
+                    frame = _Frame(dict(zip(a, stack[base:])), frame)
+                    del stack[base:]
+                elif op == _FRAME:
+                    frame = _Frame(dict.fromkeys(a, _UNASSIGNED), frame)
+                elif op == _LEAVE:
+                    frame = frame.parent
+                elif op == _MODULES:
+                    self.steps = steps
+                    for name, error in a:
+                        if error is not None:
+                            raise BuildError(error)
+                        self._load_module(name)
+                    steps = self.steps
+                    push(None)
+                else:
+                    raise BuildError(a)
+        finally:
+            self.steps = steps
 
     def _load_module(self, name: ModuleName) -> None:
         if name in self.loaded_modules:
@@ -311,146 +489,144 @@ class _Evaluator:
         self.loaded_modules.add(name)
         try:
             module = load_module(
-                name, [self._resolve(d) for d in self.env.module_path])
+                name, [_resolve(self.env, d) for d in self.env.module_path])
         except (ModuleError, ParseError, OSError) as exc:
             raise BuildError(f"cannot load module {name}: {exc}") from exc
         for imported in module.imports:
             self._load_module(imported)
-        for form in module.source[1:]:
-            self.eval(form, self.globals)
-
-    # builtins
-
-    def _resolve(self, path: str) -> str:
-        return os.path.join(self.env.base_dir, path)
-
-    def _builtins(self):
-        env = self.env
-
-        def getenv(name):
-            _check_str(name, "getenv")
-            return env.variables.get(name, False)
-
-        def string_append(*parts):
-            return "".join(_check_str(p, "string-append") for p in parts)
-
-        def plus(*args):
-            total = 0
-            for a in args:
-                total += _check_int(a, "+")
-            return total
-
-        def minus(first, *rest):
-            _check_int(first, "-")
-            if not rest:
-                return -first
-            for a in rest:
-                first -= _check_int(a, "-")
-            return first
-
-        def times(*args):
-            total = 1
-            for a in args:
-                total *= _check_int(a, "*")
-            return total
-
-        def num_equal(first, *rest):
-            _check_int(first, "=")
-            return all(_check_int(a, "=") == first for a in rest)
-
-        def car(lst):
-            if not isinstance(lst, list) or not lst:
-                raise BuildError(f"car: expected a non-empty list, got {_display(lst)}")
-            return lst[0]
-
-        def cdr(lst):
-            if not isinstance(lst, list) or not lst:
-                raise BuildError(f"cdr: expected a non-empty list, got {_display(lst)}")
-            return lst[1:]
-
-        def cons(value, lst):
-            if not isinstance(lst, list):
-                raise BuildError(f"cons: expected a list, got {_display(lst)}")
-            return [value] + lst
-
-        def mkdir(path):
-            try:
-                os.mkdir(self._resolve(_check_str(path, "mkdir")))
-            except OSError as exc:
-                raise BuildError(f"mkdir {path}: {exc}") from exc
-            return True
-
-        def write_file(path, content):
-            _check_str(path, "write-file")
-            _check_str(content, "write-file")
-            try:
-                with open(self._resolve(path), "w", encoding="utf-8") as fh:
-                    fh.write(content)
-            except OSError as exc:
-                raise BuildError(f"write-file {path}: {exc}") from exc
-            return True
-
-        def read_file(path):
-            _check_str(path, "read-file")
-            try:
-                with open(self._resolve(path), "r", encoding="utf-8") as fh:
-                    return fh.read()
-            except OSError as exc:
-                raise BuildError(f"read-file {path}: {exc}") from exc
-
-        def copy_file(src, dst):
-            _check_str(src, "copy-file")
-            _check_str(dst, "copy-file")
-            try:
-                shutil.copyfile(self._resolve(src), self._resolve(dst))
-            except OSError as exc:
-                raise BuildError(f"copy-file {src} -> {dst}: {exc}") from exc
-            return True
-
-        def file_exists(path):
-            return os.path.exists(self._resolve(_check_str(path, "file-exists?")))
-
-        def error_fn(*parts):
-            raise BuildError("error: " + " ".join(_display(p) for p in parts))
-
-        def system_star(*argv):
-            raise BuildError("system* is disabled in this build environment")
-
-        return {
-            "getenv": getenv,
-            "string-append": string_append,
-            "list": lambda *args: list(args),
-            "cons": cons,
-            "car": car,
-            "cdr": cdr,
-            "null?": lambda v: isinstance(v, list) and not v,
-            "equal?": _scheme_equal,
-            "+": plus,
-            "-": minus,
-            "*": times,
-            "=": num_equal,
-            "mkdir": mkdir,
-            "write-file": write_file,
-            "read-file": read_file,
-            "copy-file": copy_file,
-            "file-exists?": file_exists,
-            "error": error_fn,
-            "system*": system_star,
-        }
+        self.run(_compile_body(module.source[1:]), self.globals)
 
 
-_Evaluator._SPECIAL = {
-    "quote": _Evaluator._sf_quote,
-    "if": _Evaluator._sf_if,
-    "begin": _Evaluator._sf_begin,
-    "define": _Evaluator._sf_define,
-    "lambda": _Evaluator._sf_lambda,
-    "let": _Evaluator._sf_let,
-    "let*": _Evaluator._sf_let_star,
-    "letrec": _Evaluator._sf_letrec,
-    "letrec*": _Evaluator._sf_letrec,
-    "use-modules": _Evaluator._sf_use_modules,
-}
+def _resolve(env: EvalEnv, path: str) -> str:
+    return os.path.join(env.base_dir, path)
+
+
+def _primitives() -> dict:
+    """The built-in procedures, made once for every evaluator: each takes
+    the EvalEnv first, then its Scheme arguments."""
+
+    def getenv(env, name):
+        _check_str(name, "getenv")
+        return env.variables.get(name, False)
+
+    def string_append(env, *parts):
+        return "".join(_check_str(p, "string-append") for p in parts)
+
+    def plus(env, *args):
+        total = 0
+        for a in args:
+            if type(a) is not int:
+                _check_int(a, "+")
+            total += a
+        return total
+
+    def minus(env, first, *rest):
+        _check_int(first, "-")
+        if not rest:
+            return -first
+        for a in rest:
+            if type(a) is not int:
+                _check_int(a, "-")
+            first -= a
+        return first
+
+    def times(env, *args):
+        total = 1
+        for a in args:
+            total *= _check_int(a, "*")
+        return total
+
+    def num_equal(env, first, *rest):
+        _check_int(first, "=")
+        for a in rest:
+            if type(a) is not int:
+                _check_int(a, "=")
+            if a != first:
+                return False
+        return True
+
+    def car(env, lst):
+        if not isinstance(lst, list) or not lst:
+            raise BuildError(f"car: expected a non-empty list, got {_display(lst)}")
+        return lst[0]
+
+    def cdr(env, lst):
+        if not isinstance(lst, list) or not lst:
+            raise BuildError(f"cdr: expected a non-empty list, got {_display(lst)}")
+        return lst[1:]
+
+    def cons(env, value, lst):
+        if not isinstance(lst, list):
+            raise BuildError(f"cons: expected a list, got {_display(lst)}")
+        return [value] + lst
+
+    def mkdir(env, path):
+        try:
+            os.mkdir(_resolve(env, _check_str(path, "mkdir")))
+        except OSError as exc:
+            raise BuildError(f"mkdir {path}: {exc}") from exc
+        return True
+
+    def write_file(env, path, content):
+        _check_str(path, "write-file")
+        _check_str(content, "write-file")
+        try:
+            with open(_resolve(env, path), "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise BuildError(f"write-file {path}: {exc}") from exc
+        return True
+
+    def read_file(env, path):
+        _check_str(path, "read-file")
+        try:
+            with open(_resolve(env, path), "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BuildError(f"read-file {path}: {exc}") from exc
+
+    def copy_file(env, src, dst):
+        _check_str(src, "copy-file")
+        _check_str(dst, "copy-file")
+        try:
+            shutil.copyfile(_resolve(env, src), _resolve(env, dst))
+        except OSError as exc:
+            raise BuildError(f"copy-file {src} -> {dst}: {exc}") from exc
+        return True
+
+    def file_exists(env, path):
+        return os.path.exists(_resolve(env, _check_str(path, "file-exists?")))
+
+    def error_fn(env, *parts):
+        raise BuildError("error: " + " ".join(_display(p) for p in parts))
+
+    def system_star(env, *argv):
+        raise BuildError("system* is disabled in this build environment")
+
+    return {name: _Primitive(name, fn) for name, fn in {
+        "getenv": getenv,
+        "string-append": string_append,
+        "list": lambda env, *args: list(args),
+        "cons": cons,
+        "car": car,
+        "cdr": cdr,
+        "null?": lambda env, v: isinstance(v, list) and not v,
+        "equal?": lambda env, a, b: _scheme_equal(a, b),
+        "+": plus,
+        "-": minus,
+        "*": times,
+        "=": num_equal,
+        "mkdir": mkdir,
+        "write-file": write_file,
+        "read-file": read_file,
+        "copy-file": copy_file,
+        "file-exists?": file_exists,
+        "error": error_fn,
+        "system*": system_star,
+    }.items()}
+
+
+_PRIMITIVES = _primitives()
 
 
 def mini_eval(program, env: Optional[EvalEnv] = None):
@@ -458,8 +634,10 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
     forms = program if isinstance(program, (list, tuple)) else [program]
     evaluator = _Evaluator(env or EvalEnv())
     try:
-        return evaluator.run(forms)
+        return evaluator.run(_compile_body(forms), evaluator.globals)
     except RecursionError:
+        # The compiler, module imports and the printing and comparing of
+        # nested lists recurse on the host stack; program calls never do.
         raise BuildError("recursion limit exceeded in builder program") from None
 
 

@@ -36,17 +36,33 @@ from .store import (DEFAULT_SYSTEM, Store, StoreError, _parse_derivation,
                     gexp_to_derivation, write_derivation)
 
 
+def _want_string(value, op: str, what: str) -> str:
+    if not isinstance(value, str):
+        raise StagingError(
+            f"{op}: {what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _base_bindings(base_dir: Path, module_path) -> dict:
     def local_file(path, name=None):
-        p = Path(path)
+        p = Path(_want_string(path, "local-file", "the path"))
+        if name is not None:
+            _want_string(name, "local-file", "the name")
         resolved = p if p.is_absolute() else base_dir / p
         return LocalFile(str(resolved), name if name is not None else p.name)
 
+    def plain_file(name, content):
+        return PlainFile(_want_string(name, "plain-file", "the name"),
+                         _want_string(content, "plain-file", "the content"))
+
+    def file_append(base, *suffixes):
+        return FileAppend(base, tuple(
+            _want_string(s, "file-append", "a suffix") for s in suffixes))
+
     return {
         "local-file": local_file,
-        "plain-file": lambda name, content: PlainFile(name, content),
-        "file-append": lambda base, *suffixes: FileAppend(
-            base, tuple(str(s) for s in suffixes)),
+        "plain-file": plain_file,
+        "file-append": file_append,
         "source-module-closure": lambda names: source_module_closure(
             names, module_path),
     }

@@ -1,13 +1,18 @@
 import os
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from gexpkit import builder
 from gexpkit import (BuildError, EvalEnv, Package, Store, build,
                      gexp_to_derivation, mini_eval, plan, read, read_all,
                      stage, write_derivation)
+
+from conftest import FIXTURE_DIR
+from strategies import builder_programs
 
 
 def ev(text, **kwargs):
@@ -96,7 +101,7 @@ class TestMiniEval:
 
     def test_deep_recursion_reported(self):
         with pytest.raises(BuildError, match="recursion|step budget"):
-            ev("(define (down n) (if (= n 0) 0 (down (- n 1))))"
+            ev("(define (down n) (if (= n 0) 0 (+ 1 (down (- n 1)))))"
                " (down 100000)")
 
     def test_system_star_gated(self):
@@ -139,6 +144,94 @@ class TestMiniEval:
         with pytest.raises(BuildError, match=r"\(demo bad\)"):
             mini_eval(read_all("(use-modules (demo bad))"), env)
 
+    def test_non_tail_recursion_up_to_the_depth_cap(self):
+        # (down n) leaves n calls of down pending at its deepest.
+        down = "(define (down n) (if (= n 0) 0 (+ 1 (down (- n 1)))))"
+        depth = builder.MAX_CALL_DEPTH
+        assert ev(f"{down} (down {depth})") == depth
+        with pytest.raises(BuildError, match="^recursion too deep"):
+            ev(f"{down} (down {depth + 1})")
+
+    def test_tail_calls_do_not_nest(self):
+        assert ev("(define (down n) (if (= n 0) 0 (down (- n 1))))"
+                  " (down 100000)") == 0
+        assert ev("""
+            (letrec ((even? (lambda (n) (if (= n 0) #t (odd? (- n 1)))))
+                     (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))
+              (even? 20001))""") is False
+
+    def test_long_named_let_fits_the_default_budget(self):
+        # 15 steps per iteration plus 9: 7,500,009 of the 10,000,000.
+        assert ev("(let loop ((i 0) (acc 0))"
+                  " (if (= i 500000) acc (loop (+ i 1) (+ acc i))))"
+                  ) == 500000 * 499999 // 2
+
+    @pytest.mark.parametrize("consumer", ["(equal? x x)", "(error x)"])
+    def test_deeply_nested_list_is_a_build_error(self, consumer):
+        with pytest.raises(BuildError, match="recursion"):
+            ev("(let loop ((i 0) (x (list)))"
+               f" (if (= i 100000) {consumer} (loop (+ i 1) (list x))))")
+
+    @pytest.mark.parametrize("program, steps", [
+        ("(define (fib n) (if (= n 0) 0 (if (= n 1) 1"
+         " (+ (fib (- n 1)) (fib (- n 2)))))) (fib 18)", 138330),
+        ("(let loop ((i 0) (acc 0))"
+         " (if (= i 200) acc (loop (+ i 1) (+ acc i))))", 3009),
+        ("(letrec ((even? (lambda (n) (if (= n 0) #t (odd? (- n 1)))))"
+         " (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))"
+         " (even? 100))", 1112),
+        ("(use-modules (demo util a)) (a-label)", 17),
+    ], ids=["fib-18", "named-let-200", "letrec-even-100", "modules"])
+    def test_every_syntax_node_is_one_step(self, program, steps, module_dir):
+        forms = read_all(program)
+        mini_eval(forms, EvalEnv(module_path=(module_dir,), step_budget=steps))
+        with pytest.raises(BuildError,
+                           match=rf"^step budget exceeded \({steps - 1} steps\)$"):
+            mini_eval(forms, EvalEnv(module_path=(module_dir,),
+                                     step_budget=steps - 1))
+
+    @pytest.mark.parametrize("program, value", [
+        ("(if #f (let) 2)", 2),
+        ("(define (f) (lambda)) 3", 3),
+        ("(if #t 1 (use-modules 5))", 1),
+    ])
+    def test_malformed_form_fails_only_when_run(self, program, value):
+        assert ev(program) == value
+
+    @pytest.mark.parametrize("program, message", [
+        ("(let)", "malformed let"),
+        ("(define (f) (let loop ())) (f)", "malformed named let"),
+        ("(let* ((x)) x)", "malformed let\\* binding"),
+        ("(letrec* 5 1)", "malformed letrec bindings"),
+        ("(lambda (1) 1)", "lambda parameters must be a list of symbols"),
+        ("(quote)", "malformed quote"),
+        ("()", "cannot evaluate \\(\\)"),
+        ("(use-modules 5)", "not a module name: 5"),
+        ("(1 2)", "not a procedure: 1"),
+    ])
+    def test_malformed_form_message(self, program, message):
+        with pytest.raises(BuildError, match=message):
+            ev(program)
+
+    def test_define_binds_in_the_frame_it_runs_in(self):
+        assert ev("(define x 1) (define (f) (define x 2) x) (f) x") == 1
+        assert ev("(define x 1) (let () (define x 2) x)") == 2
+        assert ev("(define x 1) (let () (define x 2)) x") == 1
+        assert ev("(define x 1) (begin (define x 2)) x") == 2
+        assert ev("(let loop ((i 0)) (define last i)"
+                  " (if (= i 3) last (loop (+ i 1))))") == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(builder_programs)
+    def test_any_program_returns_or_raises_build_error(self, program):
+        with tempfile.TemporaryDirectory() as base:
+            env = EvalEnv(variables={"out": "out"}, base_dir=base,
+                          module_path=(str(FIXTURE_DIR / "modules"),),
+                          step_budget=2000)
+            try:
+                mini_eval(program, env)
+            except BuildError:
+                pass
 
 def simple_derivation(store, name, body=None):
     g = stage(read(body or f"""

@@ -228,6 +228,45 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize("call, message", [
+        ("(car)", "car: expected 1 arguments, got 0"),
+        ("(cons 1)", "cons: expected 2 arguments, got 1"),
+        ('(copy-file "x")', "copy-file: expected 2 arguments, got 1"),
+        ("(-)", "-: expected at least 1 arguments, got 0"),
+        ('(read-file "bin")', "read-file bin: 'utf-8' codec"),
+    ])
+    def test_builder_misuse_exits_2_without_traceback(self, capsys, scratch,
+                                                      call, message):
+        (scratch / "bin").write_bytes(b"\xff\xfe")
+        bad = scratch / "misuse.scm"
+        bad.write_text(f"#~(begin (mkdir #$output) {call})\n")
+        code, _, err = run(capsys, "build", str(bad))
+        assert code == 2
+        assert err.startswith("gexpkit: build error")
+        assert "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('(plain-file "a" "b" "c")', "plain-file: expected 2 arguments, got 3"),
+        ("(define f (local-file))\n#~(begin #$f)",
+         "local-file: expected 1 to 2 arguments, got 0"),
+        ("(define f (local-file 5))\n#~(begin #$f)",
+         "local-file: the path must be a string, got int"),
+        ('#~(write-file #$output #$(plain-file "a" 5))',
+         "plain-file: the content must be a string, got int"),
+        ('#~(write-file #$output #$(file-append (plain-file "a" "b") 5))',
+         "file-append: a suffix must be a string, got int"),
+    ])
+    def test_host_builtin_misuse_exits_1_without_traceback(
+            self, capsys, scratch, text, message):
+        bad = scratch / "misuse.scm"
+        bad.write_text(text + "\n")
+        code, _, err = run(capsys, "build", str(bad))
+        assert code == 1
+        assert err.startswith("gexpkit: error:")
+        assert "Traceback" not in err
+        assert message in err
+
     def test_use_modules_without_import_exits_2(self, capsys, scratch,
                                                 module_dir):
         bad = scratch / "forgot.scm"

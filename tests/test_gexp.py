@@ -234,6 +234,19 @@ class TestHostEval:
         with pytest.raises(StagingError, match="not callable"):
             eval_host(read("(x 1)"), HostEnv({"x": 5}))
 
+    @pytest.mark.parametrize("call, message", [
+        ("(add 1)", "add: expected 2 arguments, got 1"),
+        ("(opt)", "opt: expected 1 to 2 arguments, got 0"),
+        ("(many)", "many: expected at least 1 arguments, got 0"),
+    ])
+    def test_wrong_argument_count_is_a_staging_error(self, call, message):
+        env = HostEnv({"add": lambda a, b: a + b,
+                       "opt": lambda a, b=None: a,
+                       "many": lambda a, *rest: a})
+        with pytest.raises(StagingError, match=f"^{re.escape(message)}$"):
+            eval_host(read(call), env)
+        assert eval_host(read("(many 1 2 3)"), env) == 1
+
     def test_with_imported_modules(self):
         g = eval_host(read("(with-imported-modules '((demo util a)) #~(f))"),
                       HostEnv({}))
