@@ -24,8 +24,8 @@ from typing import Optional
 
 from .gexp import _arity, _arity_message
 from .modules import ModuleError, ModuleName, load_module
-from .sexp import (Boolean, Integer, Keyword, ParseError, Sexp, SList, String,
-                   Symbol, read_all)
+from .sexp import (INT64_MAX, INT64_MIN, Boolean, Integer, Keyword, ParseError,
+                   Sexp, SList, String, Symbol, read_all)
 from .store import (Derivation, Store, StorePath, read_derivation, rmtree_rw,
                     write_derivation)
 
@@ -100,6 +100,8 @@ def _display(value) -> str:
         return "#nil"
     if isinstance(value, Symbol):
         return value.name
+    if isinstance(value, Keyword):
+        return "#:" + value.name
     if isinstance(value, list):
         return "(" + " ".join(_display(v) for v in value) + ")"
     if isinstance(value, _Closure):
@@ -132,6 +134,14 @@ def _datum(value: Sexp):
 def _check_int(value, op: str) -> int:
     if type(value) is not int:
         raise BuildError(f"{op}: expected an integer, got {_display(value)}")
+    return value
+
+
+def _check_int64(value: int, op: str) -> int:
+    """*value* if it fits the integers the reader accepts.  The bound
+    keeps each arithmetic step cheap."""
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise BuildError(f"{op}: result out of signed 64-bit range")
     return value
 
 
@@ -518,23 +528,23 @@ def _primitives() -> dict:
             if type(a) is not int:
                 _check_int(a, "+")
             total += a
-        return total
+        return _check_int64(total, "+")
 
     def minus(env, first, *rest):
         _check_int(first, "-")
         if not rest:
-            return -first
+            return _check_int64(-first, "-")
         for a in rest:
             if type(a) is not int:
                 _check_int(a, "-")
             first -= a
-        return first
+        return _check_int64(first, "-")
 
     def times(env, *args):
         total = 1
         for a in args:
             total *= _check_int(a, "*")
-        return total
+        return _check_int64(total, "*")
 
     def num_equal(env, first, *rest):
         _check_int(first, "=")

@@ -17,6 +17,11 @@ Reader shorthand expands to plain list forms::
 Comments run from ``;`` to end of line and are discarded: two sources
 differing only in comments or whitespace read to equal values and
 therefore hash identically.
+
+The reader is one loop over the matches of one token regex, with an
+explicit stack of open lists, so nesting depth is bounded by memory,
+not by Python's recursion limit.  Line and column are worked out from
+the match offset only when a ParseError is raised.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ INT64_MAX = 2**63 - 1
 _DELIMITERS = set(" \t\n\r()\";'`,")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
-# Accepted on input only; the canonical printer emits these characters
-# raw and escapes nothing but the quote and the backslash.
-_STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+# String escapes accepted on input.  The canonical printer escapes only
+# the quote and the backslash and emits newline, tab and return raw.
+_STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
 class ParseError(Exception):
@@ -129,160 +134,110 @@ def slist(*items: Sexp) -> SList:
     return SList(tuple(items))
 
 
-_READER_PREFIXES = {
-    "'": "quote",
-    "`": "quasiquote",
-}
+# Blanks and comments, then one token: a parenthesis, a closed string, a
+# lone quote (an unterminated string), a shorthand prefix, or an atom.
+_TOKEN = re.compile(r'''
+    (?: [ \t\n\r]+ | ;[^\n]* )*
+    ( [()]
+    | "[^"\\]*(?:\\.[^"\\]*)*"
+    | "
+    | ['`] | ,@? | \#~ | \#[$+]@?
+    | [^ \t\n\r()";'`,]+
+    )?''', re.VERBOSE | re.DOTALL)
+
+_PREFIXES = {token: Symbol(head) for token, head in {
+    "'": "quote", "`": "quasiquote", ",": "unquote",
+    ",@": "unquote-splicing", "#~": "gexp", "#$": "ungexp",
+    "#$@": "ungexp-splicing", "#+": "ungexp-native",
+    "#+@": "ungexp-native-splicing"}.items()}
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
-    def error(self, message, line=None, col=None):
-        raise ParseError(message, self.line if line is None else line,
-                         self.col if col is None else col)
 
-    def at_eof(self):
-        return self.pos >= len(self.text)
+def _unescape(text: str, start: int, end: int) -> str:
+    """The value of the string literal body text[start:end]."""
+    def unescape(m):
+        if m[1] not in _STRING_ESCAPES:
+            raise _error(text, start + m.end(),
+                         f"unsupported string escape: \\{m[1]}")
+        return _STRING_ESCAPES[m[1]]
+    return _ESCAPE.sub(unescape, text[start:end])
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def peek2(self):
-        return self.text[self.pos + 1] if self.pos + 1 < len(self.text) else ""
+def _atom(token: str, text: str, start: int) -> Sexp:
+    if token == "#t":
+        return Boolean(True)
+    if token == "#f":
+        return Boolean(False)
+    if token.startswith("#:"):
+        if len(token) == 2:
+            raise _error(text, start, "empty keyword")
+        return Keyword(token[2:])
+    if token.startswith("#"):
+        raise _error(text, start, f"unsupported # syntax: {token}")
+    if _INTEGER_RE.fullmatch(token):
+        value = int(token)
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise _error(text, start,
+                         f"integer out of signed 64-bit range: {token}")
+        return Integer(value)
+    head = token[1:] if token[0] in "+-" else token
+    if head[:1].isdigit():
+        raise _error(text, start, f"invalid numeric literal: {token}")
+    return Symbol(token)
 
-    def advance(self):
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
+
+def _read(text: str, one: bool) -> list[Sexp]:
+    """Read data left to right with one token regex and an explicit
+    stack, so nesting depth is bounded by memory alone.  With *one*, stop
+    after the first datum and reject anything but blanks after it."""
+    top: list[Sexp] = []
+    # One entry per open list, the top level first: its items, the
+    # offset of its "(", and the prefixes still waiting for a datum.
+    stack = [(top, 0, [])]
+    items, _, waiting = stack[-1]
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        token, start, pos = m[1], m.start(1), m.end()
+        if token is None:
+            if waiting or (one and len(stack) == 1):
+                raise _error(text, pos, "unexpected end of input")
+            if len(stack) > 1:
+                raise _error(text, stack[-1][1], "unterminated list")
+            return top
+        if token == "(":
+            items, waiting = [], []
+            stack.append((items, start, waiting))
+            continue
+        if token == ")":
+            if waiting or len(stack) == 1:
+                raise _error(text, start, "unexpected )")
+            value = SList(tuple(stack.pop()[0]))
+            items, _, waiting = stack[-1]
+        elif token in _PREFIXES:
+            waiting.append(_PREFIXES[token])
+            continue
+        elif token == '"':
+            _unescape(text, pos, len(text))
+            raise _error(text, start, "unterminated string")
+        elif token[0] == '"':
+            value = String(_unescape(text, start + 1, pos - 1))
         else:
-            self.col += 1
-        return c
-
-    def skip_blanks(self):
-        while not self.at_eof():
-            c = self.peek()
-            if c in " \t\n\r":
-                self.advance()
-            elif c == ";":
-                while not self.at_eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
-
-    def wrap(self, head: str) -> SList:
-        return slist(Symbol(head), self.read_datum())
-
-    def read_datum(self) -> Sexp:
-        self.skip_blanks()
-        if self.at_eof():
-            self.error("unexpected end of input")
-        c = self.peek()
-        if c == "(":
-            return self.read_list()
-        if c == ")":
-            self.error("unexpected )")
-        if c == '"':
-            return self.read_string()
-        if c in _READER_PREFIXES:
-            self.advance()
-            return self.wrap(_READER_PREFIXES[c])
-        if c == ",":
-            self.advance()
-            if self.peek() == "@":
-                self.advance()
-                return self.wrap("unquote-splicing")
-            return self.wrap("unquote")
-        if c == "#":
-            nxt = self.peek2()
-            if nxt == "~":
-                self.advance()
-                self.advance()
-                return self.wrap("gexp")
-            if nxt == "$":
-                self.advance()
-                self.advance()
-                if self.peek() == "@":
-                    self.advance()
-                    return self.wrap("ungexp-splicing")
-                return self.wrap("ungexp")
-            if nxt == "+":
-                self.advance()
-                self.advance()
-                if self.peek() == "@":
-                    self.advance()
-                    return self.wrap("ungexp-native-splicing")
-                return self.wrap("ungexp-native")
-        return self.read_token()
-
-    def read_list(self) -> SList:
-        open_line, open_col = self.line, self.col
-        self.advance()
-        items = []
-        while True:
-            self.skip_blanks()
-            if self.at_eof():
-                self.error("unterminated list", open_line, open_col)
-            if self.peek() == ")":
-                self.advance()
-                return SList(tuple(items))
-            items.append(self.read_datum())
-
-    def read_string(self) -> String:
-        open_line, open_col = self.line, self.col
-        self.advance()
-        chars = []
-        while True:
-            if self.at_eof():
-                self.error("unterminated string", open_line, open_col)
-            c = self.advance()
-            if c == '"':
-                return String("".join(chars))
-            if c == "\\":
-                if self.at_eof():
-                    self.error("unterminated string", open_line, open_col)
-                esc = self.advance()
-                if esc in ('"', "\\"):
-                    chars.append(esc)
-                elif esc in _STRING_ESCAPES:
-                    chars.append(_STRING_ESCAPES[esc])
-                else:
-                    self.error(f"unsupported string escape: \\{esc}")
-            else:
-                chars.append(c)
-
-    def read_token(self) -> Sexp:
-        start_line, start_col = self.line, self.col
-        chars = []
-        while not self.at_eof() and self.peek() not in _DELIMITERS:
-            chars.append(self.advance())
-        token = "".join(chars)
-        if token == "#t":
-            return Boolean(True)
-        if token == "#f":
-            return Boolean(False)
-        if token.startswith("#:"):
-            if len(token) == 2:
-                self.error("empty keyword", start_line, start_col)
-            return Keyword(token[2:])
-        if token.startswith("#"):
-            self.error(f"unsupported # syntax: {token}", start_line, start_col)
-        if _INTEGER_RE.fullmatch(token):
-            value = int(token)
-            if not INT64_MIN <= value <= INT64_MAX:
-                self.error(f"integer out of signed 64-bit range: {token}",
-                           start_line, start_col)
-            return Integer(value)
-        head = token[1:] if token[0] in "+-" else token
-        if head and head[:1].isdigit():
-            self.error(f"invalid numeric literal: {token}", start_line, start_col)
-        return Symbol(token)
+            value = _atom(token, text, start)
+        while waiting:
+            value = SList((waiting.pop(), value))
+        items.append(value)
+        if one and len(stack) == 1:
+            rest = _TOKEN.match(text, pos)
+            if rest[1] is not None:
+                raise _error(text, rest.start(1), "trailing data after datum")
+            return top
 
 
 def read(text: str) -> Sexp:
@@ -291,23 +246,12 @@ def read(text: str) -> Sexp:
     Anything beyond the datum other than whitespace and comments is an
     error; use read_all for form sequences.
     """
-    reader = _Reader(text)
-    datum = reader.read_datum()
-    reader.skip_blanks()
-    if not reader.at_eof():
-        reader.error("trailing data after datum")
-    return datum
+    return _read(text, one=True)[0]
 
 
 def read_all(text: str) -> list[Sexp]:
     """Parse a whole file worth of data, in order."""
-    reader = _Reader(text)
-    out = []
-    while True:
-        reader.skip_blanks()
-        if reader.at_eof():
-            return out
-        out.append(reader.read_datum())
+    return _read(text, one=False)
 
 
 def _print_into(value: Sexp, out: list[str]) -> None:

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -27,6 +28,24 @@ class TestMiniEval:
         assert ev("(* 2 3 4)") == 24
         assert ev("(= 2 2 2)") is True
         assert ev("(= 2 3)") is False
+
+    def test_arithmetic_stays_in_the_reader_range(self):
+        assert ev("(+ 9223372036854775806 1)") == 2**63 - 1
+        assert ev("(- -9223372036854775807 1)") == -(2**63)
+        assert ev("(* -4611686018427387904 2)") == -(2**63)
+        for program, op in [("(* 4611686018427387904 4)", "*"),
+                            ("(- -9223372036854775808)", "-"),
+                            ("(+ 9223372036854775807 1)", "+"),
+                            ("(- -9223372036854775808 1)", "-")]:
+            message = f"{op}: result out of signed 64-bit range"
+            with pytest.raises(BuildError, match="^" + re.escape(message)):
+                ev(program)
+
+    def test_squaring_loop_stops_at_the_int64_bound(self):
+        # Unbounded, x reaches 3**(2**24): about ten seconds of bignum work.
+        with pytest.raises(BuildError, match="64-bit"):
+            ev("(let loop ((x 3) (i 0))"
+               " (if (= i 24) (= x 0) (loop (* x x) (+ i 1))))")
 
     def test_strings(self):
         assert ev('(string-append "a" "b" "c")') == "abc"
@@ -86,6 +105,10 @@ class TestMiniEval:
     def test_error_builtin(self):
         with pytest.raises(BuildError, match="error: boom 3"):
             ev('(error "boom" (+ 1 2))')
+
+    def test_error_prints_keywords_and_symbols_as_written(self):
+        with pytest.raises(BuildError, match="^error: #:k sym \\(#:a 1\\)$"):
+            ev("(error #:k 'sym '(#:a 1))")
 
     def test_getenv_reads_only_the_supplied_variables(self):
         os.environ["GEXPKIT_LEAK_PROBE"] = "visible"

@@ -1,5 +1,6 @@
 import hashlib
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -102,6 +103,87 @@ class TestReader:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             read("(a) b")
+
+
+# Every ParseError the reader raises: the function, the text, and the
+# exact message, line and column.  Columns count characters, so a "\r"
+# before "\n" takes a column and "é" takes one.
+PARSE_ERRORS = [
+    (read, "", "unexpected end of input", 1, 1),
+    (read, "  ; only a comment\n", "unexpected end of input", 2, 1),
+    (read, "'", "unexpected end of input", 1, 2),
+    (read, "(a\r\n #$@", "unexpected end of input", 2, 5),
+    (read_all, "(a) ,@ ; dangling", "unexpected end of input", 1, 18),
+    (read, ")", "unexpected )", 1, 1),
+    (read_all, "(a) )", "unexpected )", 1, 5),
+    (read, "(a ' )", "unexpected )", 1, 6),
+    (read, "(x (y #+@\t))", "unexpected )", 1, 11),
+    (read, "(x (y) \"z\"", "unterminated list", 1, 1),
+    (read, "(a\n\t(b ; (c)\n", "unterminated list", 2, 2),
+    (read_all, "() (é\r\n (ü)", "unterminated list", 1, 4),
+    (read, "'(a", "unterminated list", 1, 2),
+    (read, '"abc', "unterminated string", 1, 1),
+    (read, '(a "b\\', "unterminated string", 1, 4),
+    (read, '(a "b\\"', "unterminated string", 1, 4),
+    (read, '"a \\q', "unsupported string escape: \\q", 1, 6),
+    (read, '"ok" "a \\x"', "trailing data after datum", 1, 6),
+    (read_all, '"ok" "é \\x"', "unsupported string escape: \\x", 1, 11),
+    (read, '"ab\\\ncd"', "unsupported string escape: \\\n", 2, 1),
+    (read, '"ab\\\r\ncd"', "unsupported string escape: \\\r", 1, 6),
+    (read, "(f #:)", "empty keyword", 1, 4),
+    (read, "(a\r\n  b\r\n  #:)", "empty keyword", 3, 3),
+    (read, "#x41", "unsupported # syntax: #x41", 1, 1),
+    (read, "(é #()", "unsupported # syntax: #", 1, 4),
+    (read, "#tt", "unsupported # syntax: #tt", 1, 1),
+    (read, "9223372036854775808", "integer out of signed 64-bit range: "
+     "9223372036854775808", 1, 1),
+    (read, "\t-9223372036854775809",
+     "integer out of signed 64-bit range: -9223372036854775809", 1, 2),
+    (read_all, "a 99999999999999999999",
+     "integer out of signed 64-bit range: 99999999999999999999", 1, 3),
+    (read, "1abc", "invalid numeric literal: 1abc", 1, 1),
+    (read, "(λ +1x)", "invalid numeric literal: +1x", 1, 4),
+    (read, "-٣", "invalid numeric literal: -٣", 1, 1),
+    (read, "a 99999999999999999999", "trailing data after datum", 1, 3),
+    (read, "(a) )", "trailing data after datum", 1, 5),
+    (read, 'x\r\n"unterminated', "trailing data after datum", 2, 1),
+    (read, "(ü ; ünïcode\n  ))", "trailing data after datum", 2, 4),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("reader, text, message, line, column",
+                             PARSE_ERRORS)
+    def test_message_and_position(self, reader, text, message, line, column):
+        with pytest.raises(ParseError) as info:
+            reader(text)
+        assert str(info.value) == f"{message} (line {line}, column {column})"
+        assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize("reader", [read, read_all])
+    def test_deep_nesting_reads_without_recursion(self, reader):
+        depth = 100_000
+        value = reader("(" * depth + ")" * depth)
+        if reader is read_all:
+            [value] = value
+        levels = 1
+        while value.items:
+            [value] = value.items
+            levels += 1
+        assert levels == depth
+
+    @given(st.lists(st.sampled_from(
+        ["(", ")", "#", "@", "\\", '"', "'", "`", ",", "~", "$", "+", "-",
+         ":", "t", "f", "0", "9", "a", "é", ";", "\n", "\r", " ", "\t",
+         "99999999999999999999"]), max_size=40).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_token_soup_reads_or_raises_parse_error(self, text):
+        for reader in (read, read_all):
+            try:
+                reader(text)
+            except ParseError as exc:
+                assert 1 <= exc.line <= text.count("\n") + 1
+                assert exc.column >= 1
 
 
 class TestPrinter:
