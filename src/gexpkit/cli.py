@@ -28,12 +28,12 @@ from typing import Optional
 
 from .builder import BuildError, build
 from .gexp import Gexp, HostEnv, StagingError, _head_name, eval_host
-from .lowerable import (FileAppend, LocalFile, LoweringError, Package,
-                        PlainFile)
+from .lowerable import (FileAppend, LocalFile, Lowering, LoweringError,
+                        Package, PlainFile, lower_gexp)
 from .modules import ModuleError, source_module_closure
 from .sexp import ParseError, SList, String, Symbol, read_all
 from .store import (DEFAULT_SYSTEM, Store, StoreError, _parse_derivation,
-                    gexp_to_derivation, write_derivation)
+                    validate_store_name)
 
 
 def _want_string(value, op: str, what: str) -> str:
@@ -163,22 +163,21 @@ def _lower_args(args):
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
     g = load_deployment(source, store.module_path)
-    name = args.name if args.name else source.stem
-    d = gexp_to_derivation(store, name, g, system=args.system,
-                           target=args.target)
-    return store, d
+    name = validate_store_name(args.name if args.name else source.stem)
+    lowering = Lowering(store, args.system)
+    return lowering, lower_gexp(lowering, name, g, args.target)
 
 
 def _cmd_lower(args) -> int:
-    store, d = _lower_args(args)
-    print(write_derivation(store, d))
+    lowering, d = _lower_args(args)
+    print(lowering.write(d))
     return 0
 
 
 def _cmd_build(args) -> int:
-    store, d = _lower_args(args)
+    lowering, d = _lower_args(args)
     log: list = []
-    outputs = build(store, d, log=log)
+    outputs = build(lowering.store, d, log=log)
     for action, path in log:
         print(f"{action} {path}", file=sys.stderr)
     for out in sorted(outputs):

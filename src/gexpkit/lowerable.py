@@ -1,19 +1,27 @@
-"""Compilers for objects embedded in staged code.
+"""Lowering: embedded objects, their compilers, gexps to derivations.
 
 Any Python object can sit inside an escape as long as a compiler is
 registered for its type.  Lowering turns the object into a store item
 (a store path or a derivation); expansion turns the lowered item into
-the string spliced into the residual program.  Results are cached per
-(object, system, target) on the store so shared objects lower once.
+the string spliced into the residual program.  A `Lowering` carries
+the store and the system through one lowering run and memoizes per
+(object, target), so shared objects lower once and each derivation is
+written once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
-from .gexp import Gexp, gexp_outputs
+from .gexp import (Gexp, gexp_inputs, gexp_modules, gexp_outputs,
+                   gexp_to_sexp)
+from .modules import intern_module_closure, source_module_closure
+from .sexp import String, print_canonical
+from .store import (DEFAULT_SYSTEM, Derivation, Store, StorePath,
+                    output_path, validate_store_name, validate_system,
+                    write_derivation)
 
 
 class LoweringError(Exception):
@@ -99,56 +107,65 @@ class GexpCompiler:
     expand: Optional[Callable] = None
 
 
-class Registry:
-    def __init__(self):
-        self._compilers: dict[type, GexpCompiler] = {}
+_COMPILERS: dict[type, GexpCompiler] = {}
 
-    def register(self, compiler: GexpCompiler) -> None:
-        if compiler.type_tag in self._compilers:
-            raise LoweringError(
-                f"compiler already registered for {compiler.type_tag.__name__}")
-        self._compilers[compiler.type_tag] = compiler
 
-    def find(self, obj) -> GexpCompiler:
-        compiler = self._compilers.get(type(obj))
-        if compiler is not None:
+def register_compiler(compiler: GexpCompiler) -> None:
+    if compiler.type_tag in _COMPILERS:
+        raise LoweringError(
+            f"compiler already registered for {compiler.type_tag.__name__}")
+    _COMPILERS[compiler.type_tag] = compiler
+
+
+def _compiler(obj) -> GexpCompiler:
+    compiler = _COMPILERS.get(type(obj))
+    if compiler is not None:
+        return compiler
+    for compiler in _COMPILERS.values():
+        if isinstance(obj, compiler.type_tag):
             return compiler
-        for compiler in self._compilers.values():
-            if isinstance(obj, compiler.type_tag):
-                return compiler
-        raise LoweringError(f"no compiler registered for {type(obj).__name__}")
+    raise LoweringError(f"no compiler registered for {type(obj).__name__}")
 
 
-default_registry = Registry()
+class Lowering:
+    """One lowering run (a CLI command or a `gexp_to_derivation` call):
+    the store, the system, and memos that last as long as the run.
+    ``lowered`` maps (object id, target) to (lowered item, object) and
+    ``written`` maps a derivation's id to (``.drv`` path, derivation);
+    holding the object keeps its id from being reused meanwhile."""
 
+    def __init__(self, store: Store, system: str = DEFAULT_SYSTEM):
+        self.store = store
+        self.system = validate_system(system)
+        self.lowered: dict = {}
+        self.written: dict = {}
 
-def register_compiler(compiler: GexpCompiler):
-    default_registry.register(compiler)
-
-
-def lower_object(obj, store, system: str, target: Optional[str] = None):
-    """Lower *obj* for (system, target), memoized on the store."""
-    key = (id(obj), system, target)
-    hit = store.lower_cache.get(key)
-    if hit is not None:
+    def write(self, d: Derivation) -> StorePath:
+        """The ``.drv`` path of *d*, written the first time *d* is seen."""
+        hit = self.written.get(id(d))
+        if hit is None:
+            hit = self.written[id(d)] = (write_derivation(self.store, d), d)
         return hit[0]
-    compiler = default_registry.find(obj)
-    lowered = compiler.lower(obj, store, system, target)
-    # The object rides along so its id stays unique for the cache's life.
-    store.lower_cache[key] = (lowered, obj)
-    return lowered
+
+
+def lower_object(obj, lowering: Lowering, target: Optional[str] = None):
+    """Lower *obj* for *target*, memoized on *lowering*."""
+    key = (id(obj), target)
+    hit = lowering.lowered.get(key)
+    if hit is None:
+        lowered = _compiler(obj).lower(obj, lowering, target)
+        hit = lowering.lowered[key] = (lowered, obj)
+    return hit[0]
 
 
 def expand_object(obj, lowered) -> str:
-    compiler = default_registry.find(obj)
+    compiler = _compiler(obj)
     if compiler.expand is not None:
         return compiler.expand(obj, lowered)
     return default_expansion(lowered)
 
 
 def default_expansion(lowered) -> str:
-    from .store import Derivation, StorePath
-
     if isinstance(lowered, StorePath):
         return str(lowered)
     if isinstance(lowered, Derivation):
@@ -160,48 +177,102 @@ def default_expansion(lowered) -> str:
     raise LoweringError(f"cannot expand {type(lowered).__name__}")
 
 
-def make_resolver(store):
-    """Resolver handed to gexp serialization: lower, expand, splice as
-    a string literal."""
-    from .sexp import String
+def lower_gexp(lowering: Lowering, name: str, g: Gexp,
+               target: Optional[str] = None) -> Derivation:
+    """Lower *g* into a derivation named *name*.
 
-    def resolve(obj, system: str, target: Optional[str]):
-        lowered = lower_object(obj, store, system, target)
-        return String(expand_object(obj, lowered))
+    Embedded objects lower under (system, target) honoring native
+    flags, the residual program is interned as ``<name>-builder``, each
+    referenced output gets an env entry mapping its name to its output
+    path, and the imported-module closure (if any), found on
+    ``store.module_path``, is interned with its store path in env
+    MODULE_PATH.  The derivation file is written before returning.
+    """
+    validate_store_name(name)
+    if target is not None:
+        validate_system(target)
+    store, system = lowering.store, lowering.system
 
-    return resolve
+    # Inputs lower first, so the resolver below only hits the memo.
+    drv_inputs: dict[str, tuple[StorePath, set]] = {}
+    source_inputs: dict[str, StorePath] = {}
+    for ref in gexp_inputs(g):
+        effective_target = None if ref.native else target
+        lowered = lower_object(ref.payload.obj, lowering, effective_target)
+        if isinstance(lowered, Derivation):
+            drv_path = lowering.write(lowered)
+            entry = drv_inputs.setdefault(str(drv_path), (drv_path, set()))
+            entry[1].add("out")
+        elif isinstance(lowered, StorePath):
+            source_inputs.setdefault(str(lowered), lowered)
+        else:
+            raise LoweringError(
+                f"compiler returned {type(lowered).__name__}, "
+                f"expected a store path or derivation")
+
+    residual = gexp_to_sexp(g, system, target, lambda obj, _system, t: String(
+        expand_object(obj, lower_object(obj, lowering, t))))
+    builder = store.intern_file(print_canonical(residual).encode("utf-8"),
+                                f"{name}-builder")
+
+    env: dict[str, str] = {}
+    module_names = gexp_modules(g)
+    if module_names:
+        closure = intern_module_closure(
+            store, source_module_closure(module_names, store.module_path))
+        source_inputs.setdefault(str(closure), closure)
+        env["MODULE_PATH"] = str(closure)
+
+    out_names = tuple(gexp_outputs(g)) or ("out",)
+    draft = Derivation(
+        name=name, system=system, target=target, builder=builder,
+        input_drvs=tuple((p, tuple(sorted(ns))) for p, ns in drv_inputs.values()),
+        input_sources=tuple(source_inputs.values()),
+        outputs={n: "" for n in out_names},
+        env={**env, **{n: "" for n in out_names}})
+    out_paths = {n: output_path(draft, n) for n in out_names}
+    env.update({n: str(p) for n, p in out_paths.items()})
+    final = replace(draft, outputs=out_paths, env=env)
+    lowering.write(final)
+    return final
 
 
-def _lower_package(pkg: Package, store, system, target):
-    from .store import gexp_to_derivation
+def gexp_to_derivation(store: Store, name: str, g: Gexp,
+                       system: str = DEFAULT_SYSTEM,
+                       target: Optional[str] = None) -> Derivation:
+    """`lower_gexp` under a fresh `Lowering` of *store* for *system*; an
+    invalid *name* is reported before an invalid *system*."""
+    validate_store_name(name)
+    return lower_gexp(Lowering(store, system), name, g, target)
 
-    return gexp_to_derivation(store, f"{pkg.name}-{pkg.version}", pkg.build,
-                              system=system, target=target)
+
+def _lower_package(pkg: Package, lowering: Lowering, target):
+    return lower_gexp(lowering, f"{pkg.name}-{pkg.version}", pkg.build, target)
 
 
-def _lower_local_file(lf: LocalFile, store, system, target):
+def _lower_local_file(lf: LocalFile, lowering: Lowering, target):
     try:
         with open(lf.path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise LoweringError(f"cannot read {lf.path}: {exc}") from exc
-    return store.intern_file(data, lf.name)
+    return lowering.store.intern_file(data, lf.name)
 
 
-def _lower_plain_file(pf: PlainFile, store, system, target):
-    return store.intern_file(pf.content, pf.name)
+def _lower_plain_file(pf: PlainFile, lowering: Lowering, target):
+    return lowering.store.intern_file(pf.content, pf.name)
 
 
-def _lower_file_append(fa: FileAppend, store, system, target):
-    return lower_object(fa.base, store, system, target)
+def _lower_file_append(fa: FileAppend, lowering: Lowering, target):
+    return lower_object(fa.base, lowering, target)
 
 
 def _expand_file_append(fa: FileAppend, lowered) -> str:
     return expand_object(fa.base, lowered) + "".join(fa.suffixes)
 
 
-default_registry.register(GexpCompiler(Package, _lower_package))
-default_registry.register(GexpCompiler(LocalFile, _lower_local_file))
-default_registry.register(GexpCompiler(PlainFile, _lower_plain_file))
-default_registry.register(GexpCompiler(FileAppend, _lower_file_append,
-                                       _expand_file_append))
+register_compiler(GexpCompiler(Package, _lower_package))
+register_compiler(GexpCompiler(LocalFile, _lower_local_file))
+register_compiler(GexpCompiler(PlainFile, _lower_plain_file))
+register_compiler(GexpCompiler(FileAppend, _lower_file_append,
+                               _expand_file_append))

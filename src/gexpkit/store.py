@@ -15,6 +15,7 @@ Fingerprints, one per item kind::
 
 where "blanked text" is the canonical derivation text with every
 output path field emptied (outputs map values and their env copies).
+Nothing here knows about gexps, lowering or modules; those build on it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .gexp import Gexp, gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp
-from .lowerable import LoweringError, lower_object, make_resolver
-from .modules import intern_module_closure, source_module_closure
 from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
                    print_canonical, read, slist)
 
@@ -142,8 +140,7 @@ class Store:
     """A store rooted at *prefix* (kept verbatim for path rendering).
 
     Build-side modules are searched for on *module_path*, fixed for the
-    store's life, so the lowering cache, keyed by (object, system,
-    target), never mixes results from two search paths.
+    store's life.
 
     Every item enters through ``commit``, which stages it under the
     prefix and renames it into place, so interning is atomic and
@@ -163,7 +160,6 @@ class Store:
         self.prefix = str(prefix).rstrip("/") or "/"
         Path(self.prefix).mkdir(parents=True, exist_ok=True)
         self.writes = 0
-        self.lower_cache: dict = {}
         self.derivations: dict[bytes, Derivation] = {}
         self.validated: set[bytes] = set()
         self.module_path = tuple(module_path)
@@ -182,14 +178,8 @@ class Store:
                 finally:
                     fcntl.flock(fh, fcntl.LOCK_UN)
 
-    def object_path(self, hash32: str, name: str) -> StorePath:
-        return StorePath(self.prefix, hash32, name)
-
     def contains(self, path: StorePath) -> bool:
         return path.prefix == self.prefix and path.fs.exists()
-
-    def read_bytes(self, path: StorePath) -> bytes:
-        return path.fs.read_bytes()
 
     def intern_file(self, data: bytes, name: str) -> StorePath:
         return self._intern_bytes("source", data, name)
@@ -197,7 +187,7 @@ class Store:
     def _intern_bytes(self, kind: str, data: bytes, name: str) -> StorePath:
         validate_store_name(name)
         content_hex = hashlib.sha256(data).hexdigest()
-        path = self.object_path(_fingerprint_hash(kind, content_hex, name), name)
+        path = StorePath(self.prefix, _fingerprint_hash(kind, content_hex, name), name)
         return self.commit(path, lambda tmp: Path(tmp).write_bytes(data))
 
     def intern_dir(self, entries: Mapping[str, bytes], name: str) -> StorePath:
@@ -210,7 +200,7 @@ class Store:
                 raise StoreError(f"bad relative path in directory item: {relpath!r}")
             blob += relpath.encode("utf-8") + b"\n" + entries[relpath]
         content_hex = hashlib.sha256(blob).hexdigest()
-        path = self.object_path(_fingerprint_hash("source", content_hex, name), name)
+        path = StorePath(self.prefix, _fingerprint_hash("source", content_hex, name), name)
 
         def fill(tmp):
             os.mkdir(tmp)
@@ -430,7 +420,7 @@ def _check_references(store: Store, d: Derivation) -> None:
                 raise StoreError(
                     f"{d.name} wants output '{out}' of {dep.name}, which has none")
             allowed.add(str(dep.outputs[out]))
-    builder_text = store.read_bytes(d.builder).decode("utf-8")
+    builder_text = d.builder.fs.read_bytes().decode("utf-8")
     for ref in find_store_references(builder_text, store.prefix):
         if ref not in allowed:
             raise StoreError(f"builder of {d.name} references unlisted path {ref}")
@@ -441,7 +431,7 @@ def read_derivation(store: Store, path) -> Derivation:
         path = parse_store_path(path)
     if not store.contains(path):
         raise StoreError(f"no such derivation: {path}")
-    data = store.read_bytes(path)
+    data = path.fs.read_bytes()
     d = store.derivations.get(data)
     if d is None:
         d = store.derivations[data] = _parse_derivation(data, path)
@@ -458,61 +448,3 @@ def _parse_derivation(data: bytes, source) -> Derivation:
     except (ParseError, StoreError) as exc:
         raise StoreError(f"{source}: {exc}") from None
 
-
-def gexp_to_derivation(store: Store, name: str, g: Gexp,
-                       system: str = DEFAULT_SYSTEM,
-                       target: Optional[str] = None) -> Derivation:
-    """Lower *g* into a derivation named *name*.
-
-    Embedded objects lower under (system, target) honoring native
-    flags, the residual program is interned as ``<name>-builder``, each
-    referenced output gets an env entry mapping its name to its output
-    path, and the imported-module closure (if any), found on
-    ``store.module_path``, is interned with its store path in env
-    MODULE_PATH.  The derivation file is written before returning.
-    """
-    validate_store_name(name)
-    validate_system(system)
-    if target is not None:
-        validate_system(target)
-
-    drv_inputs: dict[str, tuple[StorePath, set]] = {}
-    source_inputs: dict[str, StorePath] = {}
-    for ref in gexp_inputs(g):
-        effective_target = None if ref.native else target
-        lowered = lower_object(ref.payload.obj, store, system, effective_target)
-        if isinstance(lowered, Derivation):
-            drv_path = write_derivation(store, lowered)
-            entry = drv_inputs.setdefault(str(drv_path), (drv_path, set()))
-            entry[1].add("out")
-        elif isinstance(lowered, StorePath):
-            source_inputs.setdefault(str(lowered), lowered)
-        else:
-            raise LoweringError(
-                f"compiler returned {type(lowered).__name__}, "
-                f"expected a store path or derivation")
-
-    residual = gexp_to_sexp(g, system, target, make_resolver(store))
-    builder = store.intern_file(print_canonical(residual).encode("utf-8"),
-                                f"{name}-builder")
-
-    env: dict[str, str] = {}
-    module_names = gexp_modules(g)
-    if module_names:
-        closure = intern_module_closure(
-            store, source_module_closure(module_names, store.module_path))
-        source_inputs.setdefault(str(closure), closure)
-        env["MODULE_PATH"] = str(closure)
-
-    out_names = tuple(gexp_outputs(g)) or ("out",)
-    draft = Derivation(
-        name=name, system=system, target=target, builder=builder,
-        input_drvs=tuple((p, tuple(sorted(ns))) for p, ns in drv_inputs.values()),
-        input_sources=tuple(source_inputs.values()),
-        outputs={n: "" for n in out_names},
-        env={**env, **{n: "" for n in out_names}})
-    out_paths = {n: output_path(draft, n) for n in out_names}
-    env.update({n: str(p) for n, p in out_paths.items()})
-    final = replace(draft, outputs=out_paths, env=env)
-    write_derivation(store, final)
-    return final

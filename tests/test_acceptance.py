@@ -289,7 +289,7 @@ def test_acceptance_9_store_properties(store, golden_paths, golden_drv_text):
             dep = read_derivation(store, dep_path)
             allowed.update(str(dep.outputs[n]) for n in names)
         refs = find_store_references(
-            store.read_bytes(drv.builder).decode(), store.prefix)
+            drv.builder.fs.read_bytes().decode(), store.prefix)
         assert set(refs) <= allowed, drv.name
         checked += 1
     assert checked >= 3

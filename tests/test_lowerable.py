@@ -1,13 +1,14 @@
+import gc
+import weakref
+
 import pytest
 
-from gexpkit import (Derivation, FileAppend, GexpCompiler, LocalFile,
-                     LoweringError, Package, PlainFile, Registry, StorePath,
+import gexpkit.lowerable
+from gexpkit import (Derivation, GexpCompiler, LocalFile, Lowering,
+                     LoweringError, Package, PlainFile, StoreError, StorePath,
                      expand_object, file_append, gexp_to_derivation,
-                     lower_object, make_resolver, print_canonical, read,
-                     stage)
+                     lower_object, read, register_compiler, stage)
 from gexpkit.lowerable import default_expansion
-
-SYSTEM = "x86_64-linux"
 
 
 def make_package(name="imagemagick", version="6.9"):
@@ -18,75 +19,91 @@ def make_package(name="imagemagick", version="6.9"):
     return Package(name=name, version=version, build=build)
 
 
+def package_chain(length):
+    """A gexp embedding the last two of *length* packages, each of which
+    embeds its two predecessors."""
+    pkgs = []
+    for i in range(length):
+        deps = {f"d{k}": pkgs[j] for k, j in enumerate((i - 1, i - 2)) if j >= 0}
+        body = " ".join(f"#${name}" for name in deps)
+        pkgs.append(Package(f"p{i}", "1", stage(
+            read(f"(begin (mkdir #$output) (list {body}))"), deps)))
+    return stage(read("(begin (mkdir #$output) (list #$a #$b))"),
+                 {"a": pkgs[-1], "b": pkgs[-2]})
+
+
+@pytest.fixture
+def lowering(store):
+    return Lowering(store)
+
+
 class TestRegistry:
     def test_duplicate_registration_rejected(self):
-        registry = Registry()
-        compiler = GexpCompiler(PlainFile, lambda o, s, sys, t: None)
-        registry.register(compiler)
+        compiler = GexpCompiler(PlainFile, lambda obj, lowering, target: None)
         with pytest.raises(LoweringError, match="already registered"):
-            registry.register(compiler)
+            register_compiler(compiler)
 
-    def test_unknown_type_has_no_compiler(self, store):
+    def test_unknown_type_has_no_compiler(self, lowering):
         with pytest.raises(LoweringError, match="no compiler"):
-            lower_object(object(), store, SYSTEM)
+            lower_object(object(), lowering)
 
-    def test_isinstance_fallback(self, store):
+    def test_isinstance_fallback(self, lowering):
         class FancyFile(PlainFile):
             pass
 
-        path = lower_object(FancyFile("f", b"x"), store, SYSTEM)
+        path = lower_object(FancyFile("f", b"x"), lowering)
         assert isinstance(path, StorePath)
 
 
 class TestFiles:
-    def test_plain_file_interns_content(self, store):
-        path = lower_object(PlainFile("note", "text"), store, SYSTEM)
+    def test_plain_file_interns_content(self, lowering):
+        path = lower_object(PlainFile("note", "text"), lowering)
         assert path.fs.read_bytes() == b"text"
         assert path.name == "note"
 
-    def test_local_file_reads_disk(self, store, scratch):
+    def test_local_file_reads_disk(self, lowering, scratch):
         (scratch / "input.txt").write_bytes(b"payload")
         lf = LocalFile(str(scratch / "input.txt"))
         assert lf.name == "input.txt"
-        path = lower_object(lf, store, SYSTEM)
+        path = lower_object(lf, lowering)
         assert path.fs.read_bytes() == b"payload"
 
-    def test_local_file_missing(self, store):
+    def test_local_file_missing(self, lowering):
         with pytest.raises(LoweringError, match="cannot read"):
-            lower_object(LocalFile("nope.txt"), store, SYSTEM)
+            lower_object(LocalFile("nope.txt"), lowering)
 
-    def test_files_lower_target_independently(self, store):
+    def test_files_lower_target_independently(self, lowering):
         pf = PlainFile("note", b"x")
-        native = lower_object(pf, store, SYSTEM, None)
-        crossed = lower_object(pf, store, SYSTEM, "i686-linux")
+        native = lower_object(pf, lowering, None)
+        crossed = lower_object(pf, lowering, "i686-linux")
         assert native == crossed
 
 
 class TestPackages:
-    def test_package_derivation_naming(self, store):
-        d = lower_object(make_package(), store, SYSTEM)
+    def test_package_derivation_naming(self, lowering):
+        d = lower_object(make_package(), lowering)
         assert isinstance(d, Derivation)
         assert d.name == "imagemagick-6.9"
 
-    def test_lowering_cached_per_key(self, store):
+    def test_lowering_cached_per_key(self, lowering):
         pkg = make_package()
-        first = lower_object(pkg, store, SYSTEM)
-        writes = store.writes
-        second = lower_object(pkg, store, SYSTEM)
+        first = lower_object(pkg, lowering)
+        writes = lowering.store.writes
+        second = lower_object(pkg, lowering)
         assert second is first
-        assert store.writes == writes
+        assert lowering.store.writes == writes
 
-    def test_target_is_part_of_the_cache_key(self, store):
+    def test_target_is_part_of_the_cache_key(self, lowering):
         pkg = make_package()
-        native = lower_object(pkg, store, SYSTEM, None)
-        crossed = lower_object(pkg, store, SYSTEM, "i686-linux")
+        native = lower_object(pkg, lowering, None)
+        crossed = lower_object(pkg, lowering, "i686-linux")
         assert native.target is None
         assert crossed.target == "i686-linux"
         assert native.outputs["out"] != crossed.outputs["out"]
 
-    def test_equal_but_distinct_packages_lower_separately(self, store):
-        a = lower_object(make_package(), store, SYSTEM)
-        b = lower_object(make_package(), store, SYSTEM)
+    def test_equal_but_distinct_packages_lower_separately(self, lowering):
+        a = lower_object(make_package(), lowering)
+        b = lower_object(make_package(), lowering)
         assert derivation_equal(a, b)
 
     def test_undeclared_build_outputs_rejected(self):
@@ -108,28 +125,28 @@ def derivation_equal(a, b):
 
 
 class TestExpansion:
-    def test_store_path_expands_to_itself(self, store):
+    def test_store_path_expands_to_itself(self, lowering):
         pf = PlainFile("note", b"x")
-        path = lower_object(pf, store, SYSTEM)
+        path = lower_object(pf, lowering)
         assert expand_object(pf, path) == str(path)
 
-    def test_derivation_expands_to_out(self, store):
+    def test_derivation_expands_to_out(self, lowering):
         pkg = make_package()
-        d = lower_object(pkg, store, SYSTEM)
+        d = lower_object(pkg, lowering)
         assert expand_object(pkg, d) == str(d.outputs["out"])
 
-    def test_derivation_without_out_cannot_expand(self, store):
+    def test_derivation_without_out_cannot_expand(self, lowering):
         from dataclasses import replace
 
-        d = lower_object(make_package(), store, SYSTEM)
+        d = lower_object(make_package(), lowering)
         odd = replace(d, outputs={"lib": d.outputs["out"]})
         with pytest.raises(LoweringError, match="out"):
             default_expansion(odd)
 
-    def test_file_append_concatenates(self, store):
+    def test_file_append_concatenates(self, lowering):
         pkg = make_package()
         fa = file_append(pkg, "/bin/convert")
-        lowered = lower_object(fa, store, SYSTEM)
+        lowered = lower_object(fa, lowering)
         assert expand_object(fa, lowered) == \
             str(lowered.outputs["out"]) + "/bin/convert"
 
@@ -138,15 +155,39 @@ class TestExpansion:
         g = stage(read("(exec #$convert)"),
                   {"convert": file_append(pkg, "/bin/convert")})
         d = gexp_to_derivation(store, "uses-append", g)
-        text = store.read_bytes(d.builder).decode()
+        text = d.builder.fs.read_bytes().decode()
         assert "/bin/convert" in text
         assert len(d.input_drvs) == 1
 
 
-class TestResolver:
-    def test_resolver_lower_expand_quotes(self, store):
-        pf = PlainFile("note", b"x")
-        resolver = make_resolver(store)
-        value = resolver(pf, SYSTEM, None)
-        assert print_canonical(value) == \
-            '"' + str(store.lower_cache[(id(pf), SYSTEM, None)][0]) + '"'
+class TestLowering:
+    def test_store_keeps_no_lowered_object_alive(self, store):
+        pkg = make_package()
+        ref = weakref.ref(pkg)
+        g = stage(read("(list #$p)"), {"p": pkg})
+        gexp_to_derivation(store, "top", g)
+        del pkg, g
+        gc.collect()
+        assert ref() is None
+
+    def test_each_derivation_written_once(self, store, monkeypatch):
+        written = []
+        real_write = gexpkit.lowerable.write_derivation
+
+        def counting_write(store, d):
+            written.append(d)
+            return real_write(store, d)
+
+        monkeypatch.setattr(gexpkit.lowerable, "write_derivation",
+                            counting_write)
+        gexp_to_derivation(store, "top", package_chain(20))
+        assert len(written) == 21
+        assert len({id(d) for d in written}) == 21
+
+    def test_long_chain_lowers(self, store):
+        d = gexp_to_derivation(store, "top", package_chain(250))
+        assert len(d.input_drvs) == 2
+
+    def test_lowering_rejects_invalid_system(self, store):
+        with pytest.raises(StoreError, match="invalid system tag"):
+            Lowering(store, "not a system")

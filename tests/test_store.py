@@ -157,7 +157,7 @@ class TestDerivations:
 
     def test_reference_scan(self, store):
         d = golden_example(store)
-        refs = find_store_references(store.read_bytes(d.builder).decode(),
+        refs = find_store_references(d.builder.fs.read_bytes().decode(),
                                      store.prefix)
         assert refs == [str(d.input_sources[0])]
 
