@@ -26,7 +26,7 @@ from .gexp import _arity, _arity_message
 from .modules import ModuleError, ModuleName, load_module
 from .sexp import (INT64_MAX, INT64_MIN, Boolean, Integer, Keyword, ParseError,
                    Sexp, SList, String, Symbol, read_all)
-from .store import (Derivation, Store, StorePath, read_derivation, rmtree_rw,
+from .store import (Derivation, Store, read_derivation, rmtree_rw,
                     write_derivation)
 
 
@@ -652,27 +652,29 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
 
 
 def _closure_order(store: Store, d: Derivation):
-    """Depth-first postorder over input-drvs: dependencies first."""
+    """Depth-first postorder over input-drvs: dependencies first.  The
+    walk keeps its own stack of (path, derivation, inputs not yet
+    entered), so chain length is bounded by memory, not by recursion."""
     root = write_derivation(store, d)
     order = []
-    state: dict[str, str] = {}
-
-    def visit(path: StorePath, drv: Optional[Derivation]):
-        key = str(path)
-        if state.get(key) == "done":
-            return
-        if state.get(key) == "visiting":
-            raise BuildError(f"dependency cycle through {key} (corrupt store)",
-                             derivation=key)
-        state[key] = "visiting"
-        if drv is None:
-            drv = read_derivation(store, path)
-        for dep_path, _names in drv.input_drvs:
-            visit(dep_path, None)
-        state[key] = "done"
-        order.append((path, drv))
-
-    visit(root, d)
+    state = {str(root): "visiting"}
+    stack = [(root, d, iter(d.input_drvs))]
+    while stack:
+        path, drv, deps = stack[-1]
+        for dep_path, _names in deps:
+            key = str(dep_path)
+            if state.get(key) == "visiting":
+                raise BuildError(f"dependency cycle through {key} (corrupt store)",
+                                 derivation=key)
+            if key not in state:
+                state[key] = "visiting"
+                dep = read_derivation(store, dep_path)
+                stack.append((dep_path, dep, iter(dep.input_drvs)))
+                break
+        else:
+            stack.pop()
+            state[str(path)] = "done"
+            order.append((path, drv))
     return order
 
 

@@ -132,19 +132,27 @@ class Lowering:
     the store, the system, and memos that last as long as the run.
     ``lowered`` maps (object id, target) to (lowered item, object) and
     ``written`` maps a derivation's id to (``.drv`` path, derivation);
-    holding the object keeps its id from being reused meanwhile."""
+    holding the object keeps its id from being reused meanwhile.
+    ``known`` maps each written ``.drv`` path to its derivation, so a
+    derivation's inputs are checked without reading them back."""
 
     def __init__(self, store: Store, system: str = DEFAULT_SYSTEM):
         self.store = store
         self.system = validate_system(system)
         self.lowered: dict = {}
         self.written: dict = {}
+        self.known: dict[str, Derivation] = {}
 
-    def write(self, d: Derivation) -> StorePath:
-        """The ``.drv`` path of *d*, written the first time *d* is seen."""
+    def write(self, d: Derivation,
+              builder_text: Optional[str] = None) -> StorePath:
+        """The ``.drv`` path of *d*, written the first time *d* is seen;
+        *builder_text* is the content of ``d.builder`` when the caller
+        has it at hand."""
         hit = self.written.get(id(d))
         if hit is None:
-            hit = self.written[id(d)] = (write_derivation(self.store, d), d)
+            path = write_derivation(self.store, d, self.known, builder_text)
+            hit = self.written[id(d)] = (path, d)
+            self.known[str(path)] = d
         return hit[0]
 
 
@@ -212,8 +220,8 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
 
     residual = gexp_to_sexp(g, system, target, lambda obj, _system, t: String(
         expand_object(obj, lower_object(obj, lowering, t))))
-    builder = store.intern_file(print_canonical(residual).encode("utf-8"),
-                                f"{name}-builder")
+    builder_text = print_canonical(residual)
+    builder = store.intern_file(builder_text.encode("utf-8"), f"{name}-builder")
 
     env: dict[str, str] = {}
     module_names = gexp_modules(g)
@@ -233,7 +241,7 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     out_paths = {n: output_path(draft, n) for n in out_names}
     env.update({n: str(p) for n, p in out_paths.items()})
     final = replace(draft, outputs=out_paths, env=env)
-    lowering.write(final)
+    lowering.write(final, builder_text)
     return final
 
 

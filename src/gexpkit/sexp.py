@@ -254,6 +254,11 @@ def read_all(text: str) -> list[Sexp]:
     return _read(text, one=False)
 
 
+def _quote_string(text: str) -> str:
+    """*text* as a canonical string literal: only \\ and \" are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _print_into(value: Sexp, out: list[str]) -> None:
     if isinstance(value, SList):
         out.append("(")
@@ -265,9 +270,7 @@ def _print_into(value: Sexp, out: list[str]) -> None:
     elif isinstance(value, Symbol):
         out.append(value.name)
     elif isinstance(value, String):
-        out.append('"')
-        out.append(value.value.replace("\\", "\\\\").replace('"', '\\"'))
-        out.append('"')
+        out.append(_quote_string(value.value))
     elif isinstance(value, Integer):
         out.append(str(value.value))
     elif isinstance(value, Boolean):

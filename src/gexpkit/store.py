@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
-                   print_canonical, read, slist)
+                   _quote_string, print_canonical, read)
 
 DEFAULT_SYSTEM = "x86_64-linux"
 
@@ -39,6 +39,7 @@ NIX32_ALPHABET = "0123456789abcdfghijklmnpqrsvwxyz"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9+._=-]+\Z")
 _SYSTEM_RE = re.compile(r"[A-Za-z0-9_]+(-[A-Za-z0-9_]+)+\Z")
+_HASH_RE = re.compile(f"[{NIX32_ALPHABET}]{{32}}")
 
 
 class StoreError(Exception):
@@ -47,18 +48,12 @@ class StoreError(Exception):
 
 def base32_hash(data: bytes) -> str:
     """Base32 over the custom alphabet, five-bit groups read from the
-    highest offset down (20 bytes encode to exactly 32 characters)."""
+    highest offset down (20 bytes encode to exactly 32 characters): the
+    digits of *data* read as one little-endian integer."""
+    n = int.from_bytes(data, "little")
     out_len = (len(data) * 8 + 4) // 5
-    chars = []
-    for i in range(out_len - 1, -1, -1):
-        bit = i * 5
-        byte = bit // 8
-        off = bit % 8
-        value = data[byte] >> off
-        if byte + 1 < len(data):
-            value |= data[byte + 1] << (8 - off)
-        chars.append(NIX32_ALPHABET[value & 0x1F])
-    return "".join(chars)
+    return "".join([NIX32_ALPHABET[(n >> (5 * i)) & 0x1F]
+                    for i in range(out_len - 1, -1, -1)])
 
 
 def validate_store_name(name: str) -> str:
@@ -82,7 +77,7 @@ class StorePath:
     def __post_init__(self):
         if not self.prefix or self.prefix.endswith("/"):
             raise StoreError(f"invalid store prefix: {self.prefix!r}")
-        if len(self.hash32) != 32 or any(c not in NIX32_ALPHABET for c in self.hash32):
+        if not _HASH_RE.fullmatch(self.hash32):
             raise StoreError(f"invalid store hash: {self.hash32!r}")
         validate_store_name(self.name)
 
@@ -179,7 +174,7 @@ class Store:
                     fcntl.flock(fh, fcntl.LOCK_UN)
 
     def contains(self, path: StorePath) -> bool:
-        return path.prefix == self.prefix and path.fs.exists()
+        return path.prefix == self.prefix and os.path.exists(str(path))
 
     def intern_file(self, data: bytes, name: str) -> StorePath:
         return self._intern_bytes("source", data, name)
@@ -220,15 +215,16 @@ class Store:
         as success, so concurrent writers of one item all succeed and
         ``writes`` counts it once.
         """
-        if path.fs.exists():
+        dest = str(path)
+        if os.path.exists(dest):
             return path
         tmp = os.path.join(self.prefix, f".tmp-{os.urandom(8).hex()}")
         try:
             fill(tmp)
             _make_tree_read_only(tmp)
             with self._locked():
-                if not path.fs.exists():
-                    os.rename(tmp, path.fs)
+                if not os.path.exists(dest):
+                    os.rename(tmp, dest)
                     self.writes += 1
         finally:
             if os.path.lexists(tmp):
@@ -260,33 +256,46 @@ class Derivation:
             raise StoreError("derivation needs at least one output")
 
 
-def derivation_to_sexp(d: Derivation) -> Sexp:
-    def s(value) -> String:
-        return String(str(value))
-
-    drvs = tuple(
-        SList((s(path),) + tuple(s(n) for n in sorted(names)))
-        for path, names in sorted(d.input_drvs, key=lambda e: str(e[0])))
-    sources = tuple(s(p) for p in sorted(d.input_sources, key=str))
-    outs = tuple(slist(s(k), s(v)) for k, v in sorted(d.outputs.items()))
-    env = tuple(slist(s(k), s(v)) for k, v in sorted(d.env.items()))
-    return slist(
-        Symbol("derivation"),
-        slist(Symbol("name"), s(d.name)),
-        slist(Symbol("system"), s(d.system)),
-        slist(Symbol("target"),
-              Boolean(False) if d.target is None else s(d.target)),
-        slist(Symbol("builder"), s(d.builder)),
-        SList((Symbol("input-drvs"),) + drvs),
-        SList((Symbol("input-sources"),) + sources),
-        SList((Symbol("outputs"),) + outs),
-        SList((Symbol("env"),) + env),
-    )
+def _derivation_text(d: Derivation, blank: bool) -> str:
+    """The canonical text of *d*, with every output path field emptied
+    (outputs map values and their env copies) when *blank*."""
+    q = _quote_string
+    parts = ["(derivation (name ", q(d.name), ") (system ", q(d.system),
+             ") (target ", "#f" if d.target is None else q(d.target),
+             ") (builder ", q(str(d.builder)), ") (input-drvs"]
+    for path, names in sorted(d.input_drvs, key=lambda e: str(e[0])):
+        parts.append(" (" + q(str(path)))
+        parts.extend(" " + q(str(n)) for n in sorted(names))
+        parts.append(")")
+    parts.append(") (input-sources")
+    parts.extend(" " + q(str(p)) for p in sorted(d.input_sources, key=str))
+    parts.append(") (outputs")
+    for k in sorted(d.outputs):
+        parts.append(f" ({q(str(k))} {q('' if blank else str(d.outputs[k]))})")
+    parts.append(") (env")
+    for k in sorted(d.env):
+        value = "" if blank and k in d.outputs else str(d.env[k])
+        parts.append(f" ({q(str(k))} {q(value)})")
+    parts.append("))")
+    return "".join(parts)
 
 
 def derivation_text(d: Derivation) -> str:
     """Canonical serialization; the exact bytes stored in .drv files."""
-    return print_canonical(derivation_to_sexp(d))
+    return _derivation_text(d, blank=False)
+
+
+def _canonical(d: Derivation) -> Derivation:
+    """*d* as its text reads back, for a *d* whose paths are all
+    `StorePath`s: inputs, sources, outputs and env in text order,
+    output names sorted, env values as strings."""
+    return replace(
+        d, input_drvs=tuple((path, tuple(str(n) for n in sorted(names)))
+                            for path, names in sorted(d.input_drvs,
+                                                      key=lambda e: str(e[0]))),
+        input_sources=tuple(sorted(d.input_sources, key=str)),
+        outputs={str(k): d.outputs[k] for k in sorted(d.outputs)},
+        env={str(k): str(d.env[k]) for k in sorted(d.env)})
 
 
 def derivation_from_sexp(value: Sexp) -> Derivation:
@@ -358,11 +367,7 @@ def output_path(d: Derivation, out_name: str) -> StorePath:
     output path fields blanked, so the result does not depend on itself."""
     if out_name not in d.outputs:
         raise StoreError(f"derivation {d.name} has no output '{out_name}'")
-    blanked = replace(
-        d,
-        outputs={k: "" for k in d.outputs},
-        env={k: ("" if k in d.outputs else v) for k, v in d.env.items()})
-    text = derivation_text(blanked)
+    text = _derivation_text(d, blank=True)
     content_hex = hashlib.sha256(text.encode("utf-8")).hexdigest()
     hash32 = base32_hash(hashlib.sha256(
         f"output:{out_name}:sha256:{content_hex}:{d.name}".encode("utf-8")
@@ -384,26 +389,34 @@ def find_store_references(text: str, prefix: str) -> list[str]:
     return pattern.findall(text)
 
 
-def write_derivation(store: Store, d: Derivation) -> StorePath:
+def write_derivation(store: Store, d: Derivation,
+                     known: Optional[Mapping[str, Derivation]] = None,
+                     builder_text: Optional[str] = None) -> StorePath:
     """Serialize *d* into the store.
 
     All referenced paths (builder, sources, input derivation files)
     must already exist, and every store path mentioned by the builder
     text must be accounted for by the input lists or the outputs.  A
     text this store has already validated is only committed.
+
+    A caller that holds the input derivations passes them as *known*
+    (``.drv`` path string to derivation) and the builder's content as
+    *builder_text*; whatever is not passed is read from the store.
     """
-    sexp = derivation_to_sexp(d)
-    data = print_canonical(sexp).encode("utf-8")
-    if data not in store.validated:
-        _check_references(store, d)
-        store.validated.add(data)
+    data = derivation_text(d).encode("utf-8")
+    if data in store.validated:
+        return store._intern_bytes("text", data, f"{d.name}.drv")
+    _check_references(store, d, known or {}, builder_text)
     path = store._intern_bytes("text", data, f"{d.name}.drv")
+    store.validated.add(data)
     if data not in store.derivations:
-        store.derivations[data] = derivation_from_sexp(sexp)
+        store.derivations[data] = _canonical(d)
     return path
 
 
-def _check_references(store: Store, d: Derivation) -> None:
+def _check_references(store: Store, d: Derivation,
+                      known: Mapping[str, Derivation],
+                      builder_text: Optional[str]) -> None:
     for path in (d.builder, *d.input_sources, *(p for p, _ in d.input_drvs)):
         if not isinstance(path, StorePath) or not store.contains(path):
             raise StoreError(f"dangling reference in {d.name}: {path}")
@@ -414,13 +427,16 @@ def _check_references(store: Store, d: Derivation) -> None:
     allowed = {str(p) for p in d.input_sources}
     allowed.update(str(p) for p in d.outputs.values())
     for drv_path, names in d.input_drvs:
-        dep = read_derivation(store, drv_path)
+        dep = known.get(str(drv_path))
+        if dep is None:
+            dep = read_derivation(store, drv_path)
         for out in names:
             if out not in dep.outputs:
                 raise StoreError(
                     f"{d.name} wants output '{out}' of {dep.name}, which has none")
             allowed.add(str(dep.outputs[out]))
-    builder_text = d.builder.fs.read_bytes().decode("utf-8")
+    if builder_text is None:
+        builder_text = d.builder.fs.read_bytes().decode("utf-8")
     for ref in find_store_references(builder_text, store.prefix):
         if ref not in allowed:
             raise StoreError(f"builder of {d.name} references unlisted path {ref}")

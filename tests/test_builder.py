@@ -2,15 +2,16 @@ import os
 import re
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from gexpkit import builder
-from gexpkit import (BuildError, EvalEnv, Package, Store, build,
-                     gexp_to_derivation, mini_eval, plan, read, read_all,
-                     stage, write_derivation)
+from gexpkit import (BuildError, Derivation, EvalEnv, Package, Store, build,
+                     gexp_to_derivation, mini_eval, output_path, plan, read,
+                     read_all, stage, write_derivation)
 
 from conftest import FIXTURE_DIR
 from strategies import builder_programs
@@ -274,6 +275,22 @@ def package_using(store, name, dep_pkg):
     return gexp_to_derivation(store, name, g)
 
 
+def written_chain(store, length):
+    """*length* derivations written with `write_derivation`, each taking
+    the one before as input; returns the .drv paths and the last one."""
+    builder_path = store.intern_file(b'(mkdir (getenv "out"))', "mk-builder")
+    paths, inputs = [], ()
+    for i in range(length):
+        d = Derivation(name=f"c{i}", system="x86_64-linux", target=None,
+                       builder=builder_path, input_drvs=inputs,
+                       outputs={"out": ""}, env={"out": ""})
+        out = output_path(d, "out")
+        d = replace(d, outputs={"out": out}, env={"out": str(out)})
+        paths.append(write_derivation(store, d))
+        inputs = ((paths[-1], ("out",)),)
+    return paths, d
+
+
 class TestPlan:
     def test_unbuilt_leaf(self, store):
         d = simple_derivation(store, "leaf")
@@ -293,6 +310,14 @@ class TestPlan:
         assert len(order) == 2
         assert "dep-1.drv" in order[0]
         assert "top.drv" in order[1]
+
+    def test_long_chain_plans_and_builds(self, store):
+        paths, top = written_chain(store, 3000)
+        assert plan(store, top) == paths
+        log = []
+        build(store, top, log=log)
+        assert log == [("build", str(p)) for p in paths]
+        assert plan(store, top) == []
 
     def test_cycle_reported_as_corruption(self, store):
         a = simple_derivation(store, "aa")

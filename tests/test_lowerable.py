@@ -1,13 +1,17 @@
+import builtins
 import gc
+import io
 import weakref
+from dataclasses import replace
 
 import pytest
 
 import gexpkit.lowerable
+import gexpkit.store
 from gexpkit import (Derivation, GexpCompiler, LocalFile, Lowering,
                      LoweringError, Package, PlainFile, StoreError, StorePath,
                      expand_object, file_append, gexp_to_derivation,
-                     lower_object, read, register_compiler, stage)
+                     lower_object, output_path, read, register_compiler, stage)
 from gexpkit.lowerable import default_expansion
 
 
@@ -174,9 +178,9 @@ class TestLowering:
         written = []
         real_write = gexpkit.lowerable.write_derivation
 
-        def counting_write(store, d):
+        def counting_write(store, d, *args):
             written.append(d)
-            return real_write(store, d)
+            return real_write(store, d, *args)
 
         monkeypatch.setattr(gexpkit.lowerable, "write_derivation",
                             counting_write)
@@ -191,3 +195,67 @@ class TestLowering:
     def test_lowering_rejects_invalid_system(self, store):
         with pytest.raises(StoreError, match="invalid system tag"):
             Lowering(store, "not a system")
+
+
+class TestChecksFromMemory:
+    """A `Lowering` checks each derivation it writes against the inputs
+    it wrote itself and the builder text it interned, not the files."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Counts of `read_derivation` calls and builder-file opens."""
+        counts = {"drv": 0, "builder": 0}
+        real_read = gexpkit.store.read_derivation
+        real_open = io.open
+
+        def counting_read(*args, **kwargs):
+            counts["drv"] += 1
+            return real_read(*args, **kwargs)
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith("-builder"):
+                counts["builder"] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(gexpkit.store, "read_derivation", counting_read)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return counts
+
+    def draft(self, lowering, name, builder_text, **fields):
+        """A derivation with a filled "out" output, its builder interned."""
+        builder = lowering.store.intern_file(builder_text.encode(),
+                                             f"{name}-builder")
+        d = Derivation(name=name, system="x86_64-linux", target=None,
+                       builder=builder, outputs={"out": ""}, env={"out": ""},
+                       **fields)
+        out = output_path(d, "out")
+        return replace(d, outputs={"out": out}, env={"out": str(out)})
+
+    def test_lowering_a_chain_reads_nothing_back(self, store, reads):
+        gexp_to_derivation(store, "top", package_chain(20))
+        assert reads == {"drv": 0, "builder": 0}
+
+    def test_dangling_reference(self, lowering):
+        ghost = StorePath(lowering.store.prefix, "0" * 32, "ghost")
+        d = self.draft(lowering, "x", "(list)", input_sources=(ghost,))
+        with pytest.raises(StoreError, match="dangling reference in x"):
+            lowering.write(d, "(list)")
+
+    def test_missing_output_of_a_known_input(self, lowering, reads):
+        dep = lower_object(make_package(), lowering)
+        dep_path = lowering.write(dep)
+        d = self.draft(lowering, "x", "(list)",
+                       input_drvs=((dep_path, ("x",)),))
+        with pytest.raises(StoreError,
+                           match="x wants output 'x' of imagemagick-6.9"):
+            lowering.write(d, "(list)")
+        assert reads == {"drv": 0, "builder": 0}
+
+    def test_unlisted_reference_in_builder_text(self, lowering, reads):
+        secret = lowering.store.intern_file(b"secret", "secret")
+        text = f'(read-file "{secret}")'
+        d = self.draft(lowering, "peek", text)
+        with pytest.raises(StoreError, match="references unlisted path"):
+            lowering.write(d, text)
+        assert reads == {"drv": 0, "builder": 0}

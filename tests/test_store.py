@@ -1,17 +1,23 @@
+import hashlib
 import os
+import random
 import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import gexpkit.store
-from gexpkit import (Derivation, Package, PlainFile, Store, StoreError,
-                     StorePath, build, derivation_from_sexp, derivation_text,
+from gexpkit import (Boolean, Derivation, Package, PlainFile, SList, Store,
+                     StoreError, StorePath, String, Symbol, build,
+                     derivation_from_sexp, derivation_text,
                      find_store_references, gexp_to_derivation, output_path,
-                     parse_store_path, read, read_derivation, stage,
-                     write_derivation)
-from gexpkit.store import NIX32_ALPHABET, base32_hash
+                     parse_store_path, print_canonical, read, read_derivation,
+                     slist, stage, write_derivation)
+from gexpkit.store import (NIX32_ALPHABET, _canonical, _parse_derivation,
+                           base32_hash)
 
 from conftest import IMAGE_BYTES
 
@@ -27,6 +33,22 @@ def golden_example(store):
     return gexp_to_derivation(store, "golden-example", g)
 
 
+def five_bit_base32(data: bytes) -> str:
+    """The reference encoding: five-bit groups read byte by byte from the
+    highest offset down."""
+    out_len = (len(data) * 8 + 4) // 5
+    chars = []
+    for i in range(out_len - 1, -1, -1):
+        bit = i * 5
+        byte = bit // 8
+        off = bit % 8
+        value = data[byte] >> off
+        if byte + 1 < len(data):
+            value |= data[byte + 1] << (8 - off)
+        chars.append(NIX32_ALPHABET[value & 0x1F])
+    return "".join(chars)
+
+
 class TestBase32:
     def test_alphabet_shape(self):
         assert len(NIX32_ALPHABET) == 32
@@ -39,6 +61,17 @@ class TestBase32:
 
     def test_length(self):
         assert len(base32_hash(os.urandom(20))) == 32
+
+    @pytest.mark.parametrize("length", [1, 5, 19, 20, 21, 32])
+    def test_matches_the_five_bit_loop(self, length):
+        rng = random.Random(length)
+        inputs = [b"\x00" * length, b"\xff" * length]
+        inputs += [rng.randbytes(length) for _ in range(500)]
+        for data in inputs:
+            assert base32_hash(data) == five_bit_base32(data), data.hex()
+
+    def test_empty_input(self):
+        assert base32_hash(b"") == five_bit_base32(b"") == ""
 
 
 class TestStorePath:
@@ -55,6 +88,16 @@ class TestStorePath:
                      "./store/" + "e" * 32 + "-name"):
             with pytest.raises(StoreError):
                 parse_store_path(text)
+
+    @pytest.mark.parametrize("hash32", [
+        "0" * 31, "0" * 33, "A" * 32, "0" * 31 + "Z", "e" * 32,
+        "0" * 31 + "o", "t" + "0" * 31, "0" * 16 + "u" + "0" * 15,
+        "0" * 31 + "-", "0" * 32 + "\n", "",
+    ])
+    def test_bad_hash_rejected(self, hash32):
+        with pytest.raises(StoreError) as info:
+            StorePath("./store", hash32, "x")
+        assert str(info.value) == f"invalid store hash: {hash32!r}"
 
     def test_name_validation(self):
         with pytest.raises(StoreError):
@@ -162,6 +205,99 @@ class TestDerivations:
         assert refs == [str(d.input_sources[0])]
 
 
+def reference_sexp(d: Derivation):
+    """The derivation as a datum, field by field, in the canonical
+    order; printing it canonically gives the reference ``.drv`` text."""
+    def s(value) -> String:
+        return String(str(value))
+
+    drvs = tuple(
+        SList((s(path),) + tuple(s(n) for n in sorted(names)))
+        for path, names in sorted(d.input_drvs, key=lambda e: str(e[0])))
+    sources = tuple(s(p) for p in sorted(d.input_sources, key=str))
+    outs = tuple(slist(s(k), s(v)) for k, v in sorted(d.outputs.items()))
+    env = tuple(slist(s(k), s(v)) for k, v in sorted(d.env.items()))
+    return slist(
+        Symbol("derivation"),
+        slist(Symbol("name"), s(d.name)),
+        slist(Symbol("system"), s(d.system)),
+        slist(Symbol("target"),
+              Boolean(False) if d.target is None else s(d.target)),
+        slist(Symbol("builder"), s(d.builder)),
+        SList((Symbol("input-drvs"),) + drvs),
+        SList((Symbol("input-sources"),) + sources),
+        SList((Symbol("outputs"),) + outs),
+        SList((Symbol("env"),) + env))
+
+
+def reference_output_path(d: Derivation, out_name: str) -> StorePath:
+    blanked = replace(
+        d, outputs={k: "" for k in d.outputs},
+        env={k: ("" if k in d.outputs else v) for k, v in d.env.items()})
+    text = print_canonical(reference_sexp(blanked))
+    content_hex = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    hash32 = base32_hash(hashlib.sha256(
+        f"output:{out_name}:sha256:{content_hex}:{d.name}".encode("utf-8")
+    ).digest()[:20])
+    path_name = d.name if out_name == "out" else f"{d.name}-{out_name}"
+    return StorePath(d.builder.prefix, hash32, path_name)
+
+
+# Free text with the characters the printer must escape or keep raw.
+_awkward = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\n\t\r ();#:é☃𝄞'),
+    st.characters(blacklist_categories=("Cs",))), max_size=8)
+_names = st.text(alphabet="abcxyz019+._=-", min_size=1, max_size=8)
+_systems = st.sampled_from(["x86_64-linux", "i686-linux", "aarch64-linux"])
+_store_paths = st.builds(
+    StorePath,
+    _awkward.map(lambda t: "./st" + t.rstrip("/")),
+    st.text(alphabet=NIX32_ALPHABET, min_size=32, max_size=32),
+    _names)
+
+
+@st.composite
+def derivations(draw):
+    # output names other than "out" end up in store names
+    outputs = draw(st.dictionaries(st.just("out") | _names, _store_paths,
+                                   min_size=1, max_size=3))
+    env = draw(st.dictionaries(_awkward, _awkward, max_size=3))
+    env.update({k: str(v) for k, v in outputs.items()
+                if draw(st.booleans())})
+    return Derivation(
+        name=draw(_names), system=draw(_systems),
+        target=draw(st.none() | _systems), builder=draw(_store_paths),
+        input_drvs=tuple(draw(st.lists(st.tuples(
+            _store_paths, st.lists(_awkward, min_size=1, max_size=3)
+            .map(tuple)), max_size=3))),
+        input_sources=tuple(draw(st.lists(_store_paths, max_size=3))),
+        outputs=outputs, env=env)
+
+
+class TestDerivationText:
+    @settings(max_examples=100, deadline=None)
+    @given(derivations())
+    def test_text_is_canonical_and_reads_back(self, d):
+        text = derivation_text(d)
+        assert text == print_canonical(reference_sexp(d))
+        assert print_canonical(read(text)) == text
+        parsed = derivation_from_sexp(read(text))
+        canonical = _canonical(d)
+        assert parsed == canonical
+        assert list(parsed.outputs.items()) == list(canonical.outputs.items())
+        assert list(parsed.env.items()) == list(canonical.env.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(derivations())
+    def test_output_path_ignores_filled_outputs(self, d):
+        blank = replace(
+            d, outputs={k: "" for k in d.outputs},
+            env={k: ("" if k in d.outputs else v) for k, v in d.env.items()})
+        for out in d.outputs:
+            assert output_path(d, out) == output_path(blank, out) \
+                == reference_output_path(d, out)
+
+
 def chain_gexp(length):
     """A gexp embedding the last of *length* packages, each of which
     embeds the one before."""
@@ -199,6 +335,18 @@ class TestDerivationMemo:
         assert [action for action, _ in log] == ["cached"] * 21
         assert parsed
         assert len(parsed) == len(set(parsed))
+
+    def test_written_entry_is_what_the_file_parses_to(self, store):
+        d = gexp_to_derivation(store, "top", chain_gexp(20))
+        golden_example(store)
+        entries = list(store.derivations.items())
+        assert len(entries) == 22
+        for data, entry in entries:
+            parsed = _parse_derivation(data, "entry")
+            assert entry == parsed
+            assert list(entry.outputs.items()) == list(parsed.outputs.items())
+            assert list(entry.env.items()) == list(parsed.env.items())
+        assert store.derivations[derivation_text(d).encode()] == d
 
     def test_rewritten_drv_is_parsed_afresh(self, store):
         d = golden_example(store)
