@@ -725,7 +725,7 @@ def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:
         try:
             with open(builder_file, "r", encoding="utf-8") as fh:
                 forms = read_all(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BuildError(f"cannot read builder of {drv.name}: {exc}",
                              derivation=drv_path) from exc
         try:

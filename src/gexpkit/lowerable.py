@@ -132,16 +132,15 @@ class Lowering:
     the store, the system, and memos that last as long as the run.
     ``lowered`` maps (object id, target) to (lowered item, object) and
     ``written`` maps a derivation's id to (``.drv`` path, derivation);
-    holding the object keeps its id from being reused meanwhile.
-    ``known`` maps each written ``.drv`` path to its derivation, so a
-    derivation's inputs are checked without reading them back."""
+    holding the object keeps its id from being reused meanwhile.  The
+    derivations themselves are memoized by the store, so a derivation's
+    inputs are checked without reading them back."""
 
     def __init__(self, store: Store, system: str = DEFAULT_SYSTEM):
         self.store = store
         self.system = validate_system(system)
         self.lowered: dict = {}
         self.written: dict = {}
-        self.known: dict[str, Derivation] = {}
 
     def write(self, d: Derivation,
               builder_text: Optional[str] = None) -> StorePath:
@@ -150,9 +149,8 @@ class Lowering:
         has it at hand."""
         hit = self.written.get(id(d))
         if hit is None:
-            path = write_derivation(self.store, d, self.known, builder_text)
+            path = write_derivation(self.store, d, builder_text)
             hit = self.written[id(d)] = (path, d)
-            self.known[str(path)] = d
         return hit[0]
 
 

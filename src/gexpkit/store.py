@@ -142,21 +142,21 @@ class Store:
     idempotent: re-interning existing content is a no-op (the
     ``writes`` counter only moves on actual materialization).
 
-    Derivations are memoized by content: ``derivations`` maps canonical
-    ``.drv`` bytes to the ``Derivation`` they parse to, and ``validated``
-    holds the texts this store's ``write_derivation`` has checked.  Both
-    last only as long as the Store.  A ``.drv`` file is still read on
-    every ``read_derivation``, so a rewritten file is parsed afresh and
-    never answered from a stale entry.  Every caller gets one shared
-    ``Derivation`` per text and must not mutate it.
+    ``derivations`` is the one derivation memo, for the Store's life:
+    it maps a ``.drv`` path string to the bytes and the ``Derivation``
+    last written or read there.  A ``.drv`` file is still read on every
+    ``read_derivation``, so a rewritten file is parsed afresh and never
+    answered from a stale entry.  Every caller gets one shared
+    ``Derivation`` per entry and must not mutate it.
     """
 
     def __init__(self, prefix="./store", module_path: Sequence = ()):
-        self.prefix = str(prefix).rstrip("/") or "/"
+        self.prefix = str(prefix).rstrip("/")
+        if not self.prefix:
+            raise StoreError(f"invalid store prefix: {str(prefix)!r}")
         Path(self.prefix).mkdir(parents=True, exist_ok=True)
         self.writes = 0
-        self.derivations: dict[bytes, Derivation] = {}
-        self.validated: set[bytes] = set()
+        self.derivations: dict[str, tuple[bytes, Derivation]] = {}
         self.module_path = tuple(module_path)
         self._tlock = threading.Lock()
 
@@ -390,32 +390,25 @@ def find_store_references(text: str, prefix: str) -> list[str]:
 
 
 def write_derivation(store: Store, d: Derivation,
-                     known: Optional[Mapping[str, Derivation]] = None,
                      builder_text: Optional[str] = None) -> StorePath:
-    """Serialize *d* into the store.
+    """Serialize *d* into the store and enter it in the memo.
 
-    All referenced paths (builder, sources, input derivation files)
-    must already exist, and every store path mentioned by the builder
-    text must be accounted for by the input lists or the outputs.  A
-    text this store has already validated is only committed.
-
-    A caller that holds the input derivations passes them as *known*
-    (``.drv`` path string to derivation) and the builder's content as
-    *builder_text*; whatever is not passed is read from the store.
+    Every write checks: all referenced paths (builder, sources, input
+    derivation files) must already exist, and every store path
+    mentioned by the builder text must be accounted for by the input
+    lists or the outputs.  Input derivations come from the memo when it
+    has them; *builder_text*, when the caller has it at hand, is the
+    content of ``d.builder``, which is otherwise read from the store.
     """
     data = derivation_text(d).encode("utf-8")
-    if data in store.validated:
-        return store._intern_bytes("text", data, f"{d.name}.drv")
-    _check_references(store, d, known or {}, builder_text)
+    _check_references(store, d, builder_text)
     path = store._intern_bytes("text", data, f"{d.name}.drv")
-    store.validated.add(data)
-    if data not in store.derivations:
-        store.derivations[data] = _canonical(d)
+    if str(path) not in store.derivations:
+        store.derivations[str(path)] = (data, _canonical(d))
     return path
 
 
 def _check_references(store: Store, d: Derivation,
-                      known: Mapping[str, Derivation],
                       builder_text: Optional[str]) -> None:
     for path in (d.builder, *d.input_sources, *(p for p, _ in d.input_drvs)):
         if not isinstance(path, StorePath) or not store.contains(path):
@@ -427,16 +420,16 @@ def _check_references(store: Store, d: Derivation,
     allowed = {str(p) for p in d.input_sources}
     allowed.update(str(p) for p in d.outputs.values())
     for drv_path, names in d.input_drvs:
-        dep = known.get(str(drv_path))
-        if dep is None:
-            dep = read_derivation(store, drv_path)
+        entry = store.derivations.get(str(drv_path))
+        dep = entry[1] if entry else read_derivation(store, drv_path)
         for out in names:
             if out not in dep.outputs:
                 raise StoreError(
                     f"{d.name} wants output '{out}' of {dep.name}, which has none")
             allowed.add(str(dep.outputs[out]))
     if builder_text is None:
-        builder_text = d.builder.fs.read_bytes().decode("utf-8")
+        # References are ASCII, so undecodable bytes cannot hide one.
+        builder_text = d.builder.fs.read_bytes().decode("utf-8", "replace")
     for ref in find_store_references(builder_text, store.prefix):
         if ref not in allowed:
             raise StoreError(f"builder of {d.name} references unlisted path {ref}")
@@ -448,10 +441,10 @@ def read_derivation(store: Store, path) -> Derivation:
     if not store.contains(path):
         raise StoreError(f"no such derivation: {path}")
     data = path.fs.read_bytes()
-    d = store.derivations.get(data)
-    if d is None:
-        d = store.derivations[data] = _parse_derivation(data, path)
-    return d
+    entry = store.derivations.get(str(path))
+    if entry is None or entry[0] != data:
+        entry = store.derivations[str(path)] = (data, _parse_derivation(data, path))
+    return entry[1]
 
 
 def _parse_derivation(data: bytes, source) -> Derivation:

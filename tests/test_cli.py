@@ -198,6 +198,32 @@ class TestFailureModes:
         assert code == 1
         assert "(demo util a)" in err
 
+    @pytest.mark.parametrize("prefix", ["/", "//"])
+    def test_empty_store_prefix_exits_1(self, capsys, image_deployment,
+                                        prefix):
+        code, out, err = run(capsys, "lower", str(image_deployment),
+                             "--store", prefix)
+        assert code == 1
+        assert out == ""
+        assert err == f"gexpkit: error: invalid store prefix: {prefix!r}\n"
+
+    @pytest.mark.parametrize("builder, name", [
+        ("imagemagick-6.9-builder", "imagemagick-6.9"),
+        ("deploy-builder", "deploy"),
+    ], ids=["input", "root"])
+    def test_corrupt_builder_is_a_build_error(self, capsys, image_deployment,
+                                              builder, name):
+        assert run(capsys, "lower", str(image_deployment))[0] == 0
+        [corrupt] = Path("store").glob(f"*-{builder}")
+        corrupt.chmod(0o644)
+        corrupt.write_bytes(b"(mkdir \xff)")
+        code, out, err = run(capsys, "build", str(image_deployment))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gexpkit: build error [./store/")
+        assert f"-{name}.drv]: cannot read builder of {name}:" in err
+        assert "Traceback" not in err
+
     def test_builder_failure_exits_2(self, capsys, scratch):
         bad = scratch / "boom.scm"
         bad.write_text('#~(error "deliberate")\n')

@@ -83,6 +83,16 @@ class TestStorePath:
     def test_prefix_kept_verbatim(self):
         assert Store("./store").prefix == "./store"
 
+    @pytest.mark.parametrize("prefix", ["/", "", "//"])
+    def test_empty_prefix_rejected_naming_it(self, prefix, monkeypatch):
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir before the prefix was checked")
+
+        monkeypatch.setattr(gexpkit.store.Path, "mkdir", no_mkdir)
+        with pytest.raises(StoreError) as info:
+            Store(prefix)
+        assert str(info.value) == f"invalid store prefix: {prefix!r}"
+
     def test_parse_rejects_junk(self):
         for text in ("no-slash", "./store/short-x", "./store/" + "0" * 32,
                      "./store/" + "e" * 32 + "-name"):
@@ -341,12 +351,37 @@ class TestDerivationMemo:
         golden_example(store)
         entries = list(store.derivations.items())
         assert len(entries) == 22
-        for data, entry in entries:
+        for path, (data, entry) in entries:
+            assert data == parse_store_path(path).fs.read_bytes()
             parsed = _parse_derivation(data, "entry")
             assert entry == parsed
             assert list(entry.outputs.items()) == list(parsed.outputs.items())
             assert list(entry.env.items()) == list(parsed.env.items())
-        assert store.derivations[derivation_text(d).encode()] == d
+        assert store.derivations[str(write_derivation(store, d))] == \
+            (derivation_text(d).encode(), d)
+
+    def test_input_written_by_this_store_is_not_read_back(self, store,
+                                                          monkeypatch):
+        dep = golden_example(store)
+        dep_path = write_derivation(store, dep)
+        builder = store.intern_file(b"(list)", "x-builder")
+        d = Derivation(name="x", system="x86_64-linux", target=None,
+                       builder=builder, input_drvs=((dep_path, ("out",)),),
+                       outputs={"out": ""})
+        d = replace(d, outputs={"out": output_path(d, "out")})
+        reads = []
+        real_read = gexpkit.store.read_derivation
+        monkeypatch.setattr(gexpkit.store, "read_derivation",
+                            lambda *args: reads.append(args) or real_read(*args))
+        write_derivation(store, d)
+        assert reads == []
+
+    def test_rewrite_checks_again(self, store):
+        d = golden_example(store)
+        write_derivation(store, d)
+        d.builder.fs.unlink()
+        with pytest.raises(StoreError, match="dangling reference"):
+            write_derivation(store, d)
 
     def test_rewritten_drv_is_parsed_afresh(self, store):
         d = golden_example(store)
