@@ -51,6 +51,11 @@ class EvalEnv:
 # call instead of nesting, so loops never count toward it.
 MAX_CALL_DEPTH = 10_000
 
+# Longest string ``string-append`` may return, in characters.  It bounds
+# the work and the memory of one step: without it, a loop that doubles
+# a string exhausts memory within a hundred steps.
+MAX_STRING_LENGTH = 1 << 24
+
 
 class _Frame:
     """One scope: a dict of bindings and the enclosing scope.  ``define``
@@ -110,11 +115,27 @@ def _display(value) -> str:
 
 
 def _scheme_equal(a, b) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_scheme_equal(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) and a == b
+    """Structural equality on an explicit stack.  Identical values are
+    equal at once, and each pair of lists is compared once, so lists
+    that share structure, like those ``(list x x)`` builds, cost their
+    distinct nodes rather than their unfolded size."""
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is list:
+            if len(a) != len(b):
+                return False
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
 
 
 def _datum(value: Sexp):
@@ -520,7 +541,13 @@ def _primitives() -> dict:
         return env.variables.get(name, False)
 
     def string_append(env, *parts):
-        return "".join(_check_str(p, "string-append") for p in parts)
+        length = 0
+        for p in parts:
+            length += len(_check_str(p, "string-append"))
+        if length > MAX_STRING_LENGTH:
+            raise BuildError(f"string-append: result longer than "
+                             f"{MAX_STRING_LENGTH} characters")
+        return "".join(parts)
 
     def plus(env, *args):
         total = 0
@@ -646,8 +673,8 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
     try:
         return evaluator.run(_compile_body(forms), evaluator.globals)
     except RecursionError:
-        # The compiler, module imports and the printing and comparing of
-        # nested lists recurse on the host stack; program calls never do.
+        # The compiler, module imports and the printing of nested lists
+        # recurse on the host stack; program calls never do.
         raise BuildError("recursion limit exceeded in builder program") from None
 
 

@@ -16,24 +16,43 @@ built-ins ``local-file`` (relative to the deployment file),
 
 Exit codes: 0 on success, 1 for read/stage/lower problems, 2 for build
 failures.
+
+Warm builds and traces: after ``lower`` or ``build`` lowers a
+deployment, it writes a trace beside the store, in
+``<store prefix>.traces/``, named by the SHA-256 of its key: the
+resolved deployment path, the store prefix as given, ``--name``,
+``--system``, ``--target`` and the module search path.  The trace holds
+the root ``.drv`` path, a digest of gexpkit's own sources, and every
+host file lowering read: the SHA-256 of the deployment, of each
+``local-file`` and of each module file, and each module candidate found
+absent.  A later ``lower`` or ``build`` with the same key re-hashes
+those files; if all match and the root's closure (every ``.drv``,
+builder and source) is still in the store, it skips reading, staging
+and lowering.  Anything else (no trace, an unreadable or corrupt one,
+a mismatch, a missing store item) lowers as if there were no trace.
+Delete the traces directory to force a re-lower.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import hashlib
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .builder import BuildError, build
+from .builder import BuildError, _closure_order, build
 from .gexp import Gexp, HostEnv, StagingError, _head_name, eval_host
 from .lowerable import (FileAppend, LocalFile, Lowering, LoweringError,
                         Package, PlainFile, lower_gexp)
-from .modules import ModuleError, source_module_closure
-from .sexp import ParseError, SList, String, Symbol, read_all
-from .store import (DEFAULT_SYSTEM, Store, StoreError, _parse_derivation,
-                    validate_store_name)
+from .modules import ModuleError, read_source, source_module_closure
+from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
+                   print_canonical, read, read_all, slist)
+from .store import (DEFAULT_SYSTEM, Derivation, Store, StoreError,
+                    _parse_derivation, read_derivation, validate_store_name)
 
 
 def _want_string(value, op: str, what: str) -> str:
@@ -43,7 +62,7 @@ def _want_string(value, op: str, what: str) -> str:
     return value
 
 
-def _base_bindings(base_dir: Path, module_path) -> dict:
+def _base_bindings(base_dir: Path, lowering: Lowering) -> dict:
     def local_file(path, name=None):
         p = Path(_want_string(path, "local-file", "the path"))
         if name is not None:
@@ -64,7 +83,7 @@ def _base_bindings(base_dir: Path, module_path) -> dict:
         "plain-file": plain_file,
         "file-append": file_append,
         "source-module-closure": lambda names: source_module_closure(
-            names, module_path),
+            names, lowering.store.module_path, lowering.reads),
     }
 
 
@@ -104,15 +123,16 @@ def _parse_package(form: SList, env: HostEnv) -> Package:
                    outputs=outputs, metadata=dict(fields))
 
 
-def load_deployment(path: Path, module_path) -> Gexp:
-    """Read a deployment file and evaluate it to a gexp."""
+def load_deployment(path: Path, lowering: Lowering) -> Gexp:
+    """Read a deployment file and evaluate it to a gexp; the files read
+    go into ``lowering.reads``."""
     try:
-        forms = read_all(path.read_text(encoding="utf-8"))
+        forms = read_all(read_source(path, lowering.reads))
     except UnicodeDecodeError as exc:
         raise StagingError(f"{path}: not UTF-8 text: {exc}") from None
     if not forms:
         raise StagingError(f"{path}: empty deployment file")
-    bindings = _base_bindings(path.resolve().parent, module_path)
+    bindings = _base_bindings(path.resolve().parent, lowering)
     env = HostEnv(bindings)
     for form in forms[:-1]:
         head = _head_name(form)
@@ -159,25 +179,114 @@ def _module_path(args) -> tuple:
     return tuple(p for p in env_value.split(":") if p)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over gexpkit's own source files, read once per process,
+    so that a trace written by other code never matches."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def _file_digest(path: str) -> Sexp:
+    """What lowering records for reading *path* now: ``#f`` when no
+    regular file is there, else the SHA-256 of its bytes."""
+    if not os.path.isfile(path):
+        return Boolean(False)
+    with open(path, "rb") as fh:
+        return String(hashlib.sha256(fh.read()).hexdigest())
+
+
+def _traced_root(trace_file: Path, key: SList) -> Optional[str]:
+    """The root ``.drv`` path the trace at *trace_file* records for
+    *key*, if the gexpkit sources and every file it read hash as they
+    did; else None."""
+    try:
+        trace = read(trace_file.read_text("utf-8", "surrogatepass"))
+        items = trace.items if isinstance(trace, SList) else ()
+        if (len(items) < 4 or items[0] != Symbol("trace") or items[1] != key
+                or not isinstance(items[2], String)
+                or items[3] != String(_source_digest())):
+            return None
+        for entry in items[4:]:
+            if not (isinstance(entry, SList) and len(entry) == 2
+                    and isinstance(entry[0], String)
+                    and _file_digest(entry[0].value) == entry[1]):
+                return None
+    except (OSError, UnicodeDecodeError, ParseError):
+        return None
+    return items[2].value
+
+
+def _write_trace(trace_file: Path, key: SList, root, reads: dict) -> None:
+    """Write the trace of one lowering in one rename; a failure to
+    write it is ignored."""
+    tmp = trace_file.with_name(f".tmp-{os.urandom(8).hex()}")
+    try:
+        trace = slist(Symbol("trace"), key, String(str(root)),
+                      String(_source_digest()),
+                      *(slist(String(path), Boolean(False) if digest is None
+                              else String(digest))
+                        for path, digest in reads.items()))
+        trace_file.parent.mkdir(exist_ok=True)
+        tmp.write_text(print_canonical(trace), "utf-8", "surrogatepass")
+        # Renaming over a file can make the file system flush the new
+        # file's data first (ext4 does); renaming to a free name does not.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(trace_file)
+        os.rename(tmp, trace_file)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _closure_on_disk(store: Store, root: str) -> Derivation:
+    """The derivation at *root*; a StoreError unless every ``.drv``,
+    builder and source of its closure is in *store*."""
+    d = read_derivation(store, root)
+    for _path, drv in _closure_order(store, d):
+        for path in (drv.builder, *drv.input_sources):
+            if not store.contains(path):
+                raise StoreError(f"missing from the store: {path}")
+    return d
+
+
 def _lower_args(args):
+    """The store, the root ``.drv`` path and its derivation: taken from
+    a matching trace when there is one, else lowered and traced."""
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
-    g = load_deployment(source, store.module_path)
-    name = validate_store_name(args.name if args.name else source.stem)
+    key = slist(*(Boolean(False) if v is None else String(v) for v in (
+        os.path.realpath(source), store.prefix, args.name, args.system,
+        args.target)), slist(*map(String, store.module_path)))
+    trace_file = Path(store.prefix + ".traces") / hashlib.sha256(
+        print_canonical(key).encode("utf-8", "surrogatepass")).hexdigest()
+    root = _traced_root(trace_file, key)
+    if root is not None:
+        try:
+            return store, root, _closure_on_disk(store, root)
+        except StoreError:
+            pass
     lowering = Lowering(store, args.system)
-    return lowering, lower_gexp(lowering, name, g, args.target)
+    g = load_deployment(source, lowering)
+    name = validate_store_name(args.name if args.name else source.stem)
+    d = lower_gexp(lowering, name, g, args.target)
+    root = lowering.write(d)
+    _write_trace(trace_file, key, root, lowering.reads)
+    return store, root, d
 
 
 def _cmd_lower(args) -> int:
-    lowering, d = _lower_args(args)
-    print(lowering.write(d))
+    print(_lower_args(args)[1])
     return 0
 
 
 def _cmd_build(args) -> int:
-    lowering, d = _lower_args(args)
+    store, _root, d = _lower_args(args)
     log: list = []
-    outputs = build(lowering.store, d, log=log)
+    outputs = build(store, d, log=log)
     for action, path in log:
         print(f"{action} {path}", file=sys.stderr)
     for out in sorted(outputs):

@@ -11,6 +11,7 @@ written once.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
@@ -134,13 +135,16 @@ class Lowering:
     ``written`` maps a derivation's id to (``.drv`` path, derivation);
     holding the object keeps its id from being reused meanwhile.  The
     derivations themselves are memoized by the store, so a derivation's
-    inputs are checked without reading them back."""
+    inputs are checked without reading them back.  ``reads`` records
+    every host file the run read: it maps the path to the SHA-256 hex
+    of the bytes read, or to None for a module candidate found absent."""
 
     def __init__(self, store: Store, system: str = DEFAULT_SYSTEM):
         self.store = store
         self.system = validate_system(system)
         self.lowered: dict = {}
         self.written: dict = {}
+        self.reads: dict[str, Optional[str]] = {}
 
     def write(self, d: Derivation,
               builder_text: Optional[str] = None) -> StorePath:
@@ -225,7 +229,8 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     module_names = gexp_modules(g)
     if module_names:
         closure = intern_module_closure(
-            store, source_module_closure(module_names, store.module_path))
+            store, source_module_closure(module_names, store.module_path,
+                                         lowering.reads))
         source_inputs.setdefault(str(closure), closure)
         env["MODULE_PATH"] = str(closure)
 
@@ -262,6 +267,7 @@ def _lower_local_file(lf: LocalFile, lowering: Lowering, target):
             data = fh.read()
     except OSError as exc:
         raise LoweringError(f"cannot read {lf.path}: {exc}") from exc
+    lowering.reads[lf.path] = hashlib.sha256(data).hexdigest()
     return lowering.store.intern_file(data, lf.name)
 
 

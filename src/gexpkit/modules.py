@@ -8,9 +8,11 @@ walk follows those edges depth-first, keeping first occurrences.
 
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .sexp import (Keyword, Sexp, SList, Symbol, print_canonical, read_all,
                    symbol_text_ok)
@@ -105,25 +107,42 @@ def parse_module_source(text: str, expected: ModuleName) -> ModuleFile:
     return ModuleFile(expected, tuple(forms), tuple(imports))
 
 
-def load_module(name: ModuleName, search_path: Sequence) -> ModuleFile:
-    """Parse the first ``name.relpath`` found under *search_path*."""
+def read_source(path: Path, reads: Optional[dict] = None) -> str:
+    """The UTF-8 text of the file at *path*, newlines translated as in
+    text mode; *reads*, when given, maps *path* to the SHA-256 of the
+    bytes read."""
+    data = path.read_bytes()
+    if reads is not None:
+        reads[str(path)] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def load_module(name: ModuleName, search_path: Sequence,
+                reads: Optional[dict] = None) -> ModuleFile:
+    """Parse the first ``name.relpath`` found under *search_path*;
+    *reads*, when given, records each candidate path probed (see
+    `read_source`), with None for one found absent."""
     for directory in search_path:
         candidate = Path(directory) / name.relpath
         if candidate.is_file():
             try:
-                text = candidate.read_text(encoding="utf-8")
+                text = read_source(candidate, reads)
             except UnicodeDecodeError as exc:
                 raise ModuleError(f"{candidate}: not UTF-8 text: {exc}") from None
             return parse_module_source(text, name)
+        if reads is not None:
+            reads[str(candidate)] = None
     searched = ":".join(str(d) for d in search_path) or "<empty>"
     raise ModuleError(f"module not found: {name} (searched {searched})")
 
 
-def source_module_closure(names: Iterable, search_path: Sequence) -> list[ModuleFile]:
+def source_module_closure(names: Iterable, search_path: Sequence,
+                          reads: Optional[dict] = None) -> list[ModuleFile]:
     """Named modules plus everything they import, transitively.
 
     Depth-first, first occurrence wins, so ``A -> B -> C`` comes out as
-    [A, B, C].  Import cycles are an error.
+    [A, B, C].  Import cycles are an error.  *reads* is passed to
+    `load_module`.
     """
     out: list[ModuleFile] = []
     done: set[ModuleName] = set()
@@ -134,7 +153,7 @@ def source_module_closure(names: Iterable, search_path: Sequence) -> list[Module
         if name in chain:
             pretty = " -> ".join(str(n) for n in chain + (name,))
             raise ModuleError(f"cyclic module imports: {pretty}")
-        module = load_module(name, search_path)
+        module = load_module(name, search_path, reads)
         out.append(module)
         for imported in module.imports:
             visit(imported, chain + (name,))

@@ -190,11 +190,38 @@ class TestMiniEval:
                   " (if (= i 500000) acc (loop (+ i 1) (+ acc i))))"
                   ) == 500000 * 499999 // 2
 
-    @pytest.mark.parametrize("consumer", ["(equal? x x)", "(error x)"])
+    @pytest.mark.parametrize("consumer", ["(error x)"])
     def test_deeply_nested_list_is_a_build_error(self, consumer):
         with pytest.raises(BuildError, match="recursion"):
             ev("(let loop ((i 0) (x (list)))"
                f" (if (= i 100000) {consumer} (loop (+ i 1) (list x))))")
+
+    def test_deeply_nested_lists_compare(self):
+        nest = ("(let loop ((i 0) (x (list)) (y (list {})))"
+                " (if (= i 20000) (equal? x y) (loop (+ i 1) (list x) (list y))))")
+        assert ev(nest.format("")) is True
+        assert ev(nest.format("1")) is False
+
+    @pytest.mark.parametrize("program, expected", [
+        ("(equal? x x)", True),
+        ("(equal? x y)", True),
+        ("(equal? x z)", False),
+    ])
+    def test_equal_on_shared_structure_visits_each_node_once(self, program,
+                                                            expected):
+        # Doubled 64 times, each list unfolds to 2**64 leaves.
+        assert ev("(let loop ((i 0) (x (list 1)) (y (list 1)) (z (list 2)))"
+                  f" (if (= i 64) {program}"
+                  " (loop (+ i 1) (list x x) (list y y) (list z z))))"
+                  ) is expected
+
+    def test_string_append_is_capped(self, monkeypatch):
+        monkeypatch.setattr(builder, "MAX_STRING_LENGTH", 64)
+        assert ev('(string-append "{}" "{}")'.format("a" * 32, "b" * 32)) == (
+            "a" * 32 + "b" * 32)
+        with pytest.raises(BuildError, match="^string-append: result longer "
+                                             "than 64 characters$"):
+            ev('(let loop ((s "x")) (loop (string-append s s)))')
 
     @pytest.mark.parametrize("program, steps", [
         ("(define (fib n) (if (= n 0) 0 (if (= n 1) 1"

@@ -272,6 +272,15 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert message in err
 
+    def test_string_past_the_cap_exits_2(self, capsys, scratch, monkeypatch):
+        monkeypatch.setattr(gexpkit.builder, "MAX_STRING_LENGTH", 64)
+        bad = scratch / "doubling.scm"
+        bad.write_text('#~(let loop ((s "x")) (loop (string-append s s)))\n')
+        code, _, err = run(capsys, "build", str(bad))
+        assert code == 2
+        assert err.startswith("gexpkit: build error [./store/")
+        assert "string-append: result longer than 64 characters" in err
+
     @pytest.mark.parametrize("text, message", [
         ('(plain-file "a" "b" "c")', "plain-file: expected 2 arguments, got 3"),
         ("(define f (local-file))\n#~(begin #$f)",

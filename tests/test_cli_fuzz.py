@@ -2,9 +2,11 @@
 
 Whatever bytes ``gexpkit lower`` or ``gexpkit show`` is handed, it
 must exit 0, 1 or 2, let no exception escape ``main``, and start its
-stderr with ``gexpkit:`` whenever it fails.  ``build`` is not fuzzed:
-builders still accept absolute paths, so a mutated program could write
-outside the scratch directory.
+stderr with ``gexpkit:`` whenever it fails.  ``build`` is not fuzzed
+with mutated deployments: builders still accept absolute paths, so a
+mutated program could write outside the scratch directory.  It is
+fuzzed with mutated traces: a fixed deployment whose trace is truncated
+or has bits flipped must still build, printing what it printed before.
 """
 
 import contextlib
@@ -101,10 +103,10 @@ def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean_exit(code, err):
+def assert_clean_exit(code, _out, err):
     assert code in (0, 1, 2)
     if code != 0:
         assert err.startswith("gexpkit:"), err
@@ -152,3 +154,59 @@ def test_show_exits_cleanly(workdir, drv_seeds, data):
         drv = Path(tmp) / "mutated.drv"
         drv.write_bytes(data.draw(mutated(drv_seeds)))
         assert_clean_exit(*run_main(["show", str(drv)]))
+
+
+TRACED = """\
+(define-package hello
+  (package
+    (name "hello")
+    (version "2.1")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/greeting") "hi")))))
+(with-imported-modules '((demo util a))
+  #~(begin
+      (use-modules (demo util a))
+      (mkdir #$output)
+      (write-file (string-append #$output "/label") (a-label))
+      (copy-file (string-append #$hello "/greeting")
+                 (string-append #$output "/greeting"))))
+"""
+
+
+@pytest.fixture(scope="module")
+def traced_build(tmp_path_factory):
+    """A built deployment with a package and modules: its build argv and
+    stdout, its trace file and the trace's bytes."""
+    directory = tmp_path_factory.mktemp("traced")
+    deploy = directory / "deploy.scm"
+    deploy.write_text(TRACED)
+    argv = ["build", *lower_argv(deploy, directory)[1:]]
+    code, out, err = run_main(argv)
+    assert code == 0, err
+    [trace] = (directory / "store.traces").iterdir()
+    return argv, out, trace, trace.read_bytes()
+
+
+@st.composite
+def corrupted(draw, data: bytes):
+    """*data* truncated, or with one to three bits flipped."""
+    data = bytearray(data)
+    if draw(st.booleans()):
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_build_ignores_a_corrupt_trace(traced_build, data):
+    argv, out, trace, good = traced_build
+    bad = data.draw(corrupted(good))
+    # A new file: truncating the old one can cost a flush of its data.
+    trace.unlink()
+    trace.write_bytes(bad)
+    code, got, err = run_main(argv)
+    assert (code, got) == (0, out), err
+    assert "Traceback" not in err

@@ -4,8 +4,10 @@ Each workload variant from ``perfbench/workloads.py`` is written into a
 temp dir (``base/`` and ``incr/`` as siblings, as the benchmark lays
 them out) and lowered through ``gexpkit lower`` with the relative
 ``./store`` prefix the benchmark uses.  The printed root basename must
-equal the one in ``workload_roots.json``.  A change that means to move
-one of these hashes edits the table and says why in CHANGES.md.
+equal the one in ``workload_roots.json``, and so must the root that a
+second ``lower`` in the same store takes from its trace.  A change that
+means to move one of these hashes edits the table and says why in
+CHANGES.md.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from gexpkit import cli
 from gexpkit.cli import main
 
 TESTS_DIR = Path(__file__).parent
@@ -65,4 +68,19 @@ def lower_roots(name: str, seed: int, directory: Path, capsys) -> dict:
 def test_root_drv_paths_pinned(name, seed, scratch, capsys, monkeypatch):
     monkeypatch.delenv("GEXP_MODULE_PATH", raising=False)
     table = json.loads(TABLE.read_text())
+    assert lower_roots(name, seed, scratch, capsys) == table[name][str(seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_trace_hit_prints_the_pinned_root(name, seed, scratch, capsys,
+                                          monkeypatch):
+    monkeypatch.delenv("GEXP_MODULE_PATH", raising=False)
+    table = json.loads(TABLE.read_text())
+    assert lower_roots(name, seed, scratch, capsys) == table[name][str(seed)]
+
+    def no_lowering(*args):
+        raise AssertionError("a trace hit lowered the deployment")
+
+    monkeypatch.setattr(cli, "load_deployment", no_lowering)
     assert lower_roots(name, seed, scratch, capsys) == table[name][str(seed)]
