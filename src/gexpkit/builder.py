@@ -1,5 +1,7 @@
-"""Build execution: dependency planning plus a small strict evaluator
-for builder programs.
+"""The build tier: a small strict evaluator for builder programs, and
+`_run_builder`, which runs one derivation's builder.  The plan and the
+build loop are `store.build`, which imports this module only when some
+derivation's outputs are missing.
 
 The evaluator compiles each form once into flat instructions and runs
 them on an explicit value stack and control stack.  Calls in tail
@@ -19,21 +21,13 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .gexp import _arity, _arity_message
 from .modules import ModuleError, ModuleName, load_module
 from .sexp import (INT64_MAX, INT64_MIN, Boolean, Integer, Keyword, ParseError,
                    Sexp, SList, String, Symbol, read_all)
-from .store import (Derivation, Store, read_derivation, rmtree_rw,
-                    write_derivation)
-
-
-class BuildError(Exception):
-    def __init__(self, message, derivation: Optional[str] = None):
-        super().__init__(message)
-        self.derivation = derivation
+from .store import BuildError, Derivation, Store, rmtree_rw
 
 
 @dataclass
@@ -97,21 +91,46 @@ _UNASSIGNED = object()
 
 
 def _display(value) -> str:
-    if value is True:
-        return "#t"
-    if value is False:
-        return "#f"
-    if value is None:
-        return "#nil"
-    if isinstance(value, Symbol):
-        return value.name
-    if isinstance(value, Keyword):
-        return "#:" + value.name
-    if isinstance(value, list):
-        return "(" + " ".join(_display(v) for v in value) + ")"
-    if isinstance(value, _Closure):
-        return f"#<procedure {value.name}>"
-    return str(value)
+    """The printed form of *value*, for messages.  Printing fails once
+    the text passes MAX_STRING_LENGTH characters: a list that shares
+    structure, like those ``(list x x)`` builds, prints unfolded, so its
+    text can grow exponentially with the steps that made it."""
+    parts = []
+    length = 0
+
+    def put(text):
+        nonlocal length
+        length += len(text)
+        if length > MAX_STRING_LENGTH:
+            raise BuildError(f"cannot print a value longer than "
+                             f"{MAX_STRING_LENGTH} characters")
+        parts.append(text)
+
+    def walk(value):
+        if value is True:
+            put("#t")
+        elif value is False:
+            put("#f")
+        elif value is None:
+            put("#nil")
+        elif isinstance(value, Symbol):
+            put(value.name)
+        elif isinstance(value, Keyword):
+            put("#:" + value.name)
+        elif isinstance(value, list):
+            put("(")
+            for i, item in enumerate(value):
+                if i:
+                    put(" ")
+                walk(item)
+            put(")")
+        elif isinstance(value, _Closure):
+            put(f"#<procedure {value.name}>")
+        else:
+            put(str(value))
+
+    walk(value)
+    return "".join(parts)
 
 
 def _scheme_equal(a, b) -> bool:
@@ -676,60 +695,6 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
         # The compiler, module imports and the printing of nested lists
         # recurse on the host stack; program calls never do.
         raise BuildError("recursion limit exceeded in builder program") from None
-
-
-def _closure_order(store: Store, d: Derivation):
-    """Depth-first postorder over input-drvs: dependencies first.  The
-    walk keeps its own stack of (path, derivation, inputs not yet
-    entered), so chain length is bounded by memory, not by recursion."""
-    root = write_derivation(store, d)
-    order = []
-    state = {str(root): "visiting"}
-    stack = [(root, d, iter(d.input_drvs))]
-    while stack:
-        path, drv, deps = stack[-1]
-        for dep_path, _names in deps:
-            key = str(dep_path)
-            if state.get(key) == "visiting":
-                raise BuildError(f"dependency cycle through {key} (corrupt store)",
-                                 derivation=key)
-            if key not in state:
-                state[key] = "visiting"
-                dep = read_derivation(store, dep_path)
-                stack.append((dep_path, dep, iter(dep.input_drvs)))
-                break
-        else:
-            stack.pop()
-            state[str(path)] = "done"
-            order.append((path, drv))
-    return order
-
-
-def _outputs_built(drv: Derivation) -> bool:
-    return all(Path(str(p)).exists() for p in drv.outputs.values())
-
-
-def plan(store: Store, d: Derivation) -> list:
-    """Derivation paths that still need building, dependencies first."""
-    return [path for path, drv in _closure_order(store, d)
-            if not _outputs_built(drv)]
-
-
-def build(store: Store, d: Derivation, log: Optional[list] = None) -> dict:
-    """Build *d* and everything it needs; return its output paths.
-
-    Each closure member is either rebuilt or reused: *log*, when given,
-    receives ("build"|"cached", drv path) pairs in execution order.
-    """
-    for path, drv in _closure_order(store, d):
-        if _outputs_built(drv):
-            if log is not None:
-                log.append(("cached", str(path)))
-            continue
-        _run_builder(store, drv, str(path))
-        if log is not None:
-            log.append(("build", str(path)))
-    return dict(d.outputs)
 
 
 def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:

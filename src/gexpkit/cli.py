@@ -8,11 +8,12 @@ Subcommands:
 * ``show DRV``    pretty-print a derivation file
 * ``add PATH``    intern a file into the store, print its path
 
-A deployment file is a sequence of forms.  All but the last must be
-``(define name expr)`` or ``(define-package name (package ...))``;
-the last form must evaluate to a gexp.  Host expressions can call the
-built-ins ``local-file`` (relative to the deployment file),
-``plain-file``, ``file-append``, and ``source-module-closure``.
+A deployment file (read by `lowerable.load_deployment`) is a sequence
+of forms.  All but the last must be ``(define name expr)`` or
+``(define-package name (package ...))``; the last form must evaluate to
+a gexp.  Host expressions can call the built-ins ``local-file``
+(relative to the deployment file), ``plain-file``, ``file-append``, and
+``source-module-closure``.
 
 Exit codes: 0 on success, 1 for read/stage/lower problems, 2 for build
 failures.
@@ -31,6 +32,12 @@ builder and source) is still in the store, it skips reading, staging
 and lowering.  Anything else (no trace, an unreadable or corrupt one,
 a mismatch, a missing store item) lowers as if there were no trace.
 Delete the traces directory to force a re-lower.
+
+Start-up: each command imports only the tiers it runs.  This module
+loads ``store`` and ``sexp``; ``lower`` and ``build`` import the host
+tier (``gexp``, ``lowerable``, ``modules``) only on a trace miss, and
+`store.build` imports the evaluator (``builder``) only when some
+derivation's outputs are missing.  ``show`` and ``add`` need neither.
 """
 
 from __future__ import annotations
@@ -44,115 +51,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .builder import BuildError, _closure_order, build
-from .gexp import Gexp, HostEnv, StagingError, _head_name, eval_host
-from .lowerable import (FileAppend, LocalFile, Lowering, LoweringError,
-                        Package, PlainFile, lower_gexp)
-from .modules import ModuleError, read_source, source_module_closure
 from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
-                   print_canonical, read, read_all, slist)
-from .store import (DEFAULT_SYSTEM, Derivation, Store, StoreError,
-                    _parse_derivation, read_derivation, validate_store_name)
-
-
-def _want_string(value, op: str, what: str) -> str:
-    if not isinstance(value, str):
-        raise StagingError(
-            f"{op}: {what} must be a string, got {type(value).__name__}")
-    return value
-
-
-def _base_bindings(base_dir: Path, lowering: Lowering) -> dict:
-    def local_file(path, name=None):
-        p = Path(_want_string(path, "local-file", "the path"))
-        if name is not None:
-            _want_string(name, "local-file", "the name")
-        resolved = p if p.is_absolute() else base_dir / p
-        return LocalFile(str(resolved), name if name is not None else p.name)
-
-    def plain_file(name, content):
-        return PlainFile(_want_string(name, "plain-file", "the name"),
-                         _want_string(content, "plain-file", "the content"))
-
-    def file_append(base, *suffixes):
-        return FileAppend(base, tuple(
-            _want_string(s, "file-append", "a suffix") for s in suffixes))
-
-    return {
-        "local-file": local_file,
-        "plain-file": plain_file,
-        "file-append": file_append,
-        "source-module-closure": lambda names: source_module_closure(
-            names, lowering.store.module_path, lowering.reads),
-    }
-
-
-def _parse_package(form: SList, env: HostEnv) -> Package:
-    if _head_name(form) != "package":
-        raise StagingError("define-package wants a (package ...) form")
-    fields: dict[str, tuple] = {}
-    for item in form.items[1:]:
-        if not (isinstance(item, SList) and item.items
-                and isinstance(item.items[0], Symbol)):
-            raise StagingError(
-                "package fields must look like (field value ...)")
-        fields[item.items[0].name] = item.items[1:]
-
-    def one_string(key):
-        entry = fields.pop(key, None)
-        if entry is None or len(entry) != 1 or not isinstance(entry[0], String):
-            raise StagingError(f"package needs a ({key} \"...\") field")
-        return entry[0].value
-
-    name = one_string("name")
-    version = one_string("version")
-    build_field = fields.pop("build", None)
-    if build_field is None or len(build_field) != 1:
-        raise StagingError("package needs a (build <gexp expression>) field")
-    build_gexp = eval_host(build_field[0], env)
-    if not isinstance(build_gexp, Gexp):
-        raise StagingError(f"package {name}: build expression must produce a gexp")
-    outputs: tuple = ("out",)
-    out_field = fields.pop("outputs", None)
-    if out_field is not None:
-        if not all(isinstance(o, String) for o in out_field):
-            raise StagingError("package outputs must be strings")
-        outputs = tuple(o.value for o in out_field)
-    # Remaining fields are inert metadata, kept as parsed data.
-    return Package(name=name, version=version, build=build_gexp,
-                   outputs=outputs, metadata=dict(fields))
-
-
-def load_deployment(path: Path, lowering: Lowering) -> Gexp:
-    """Read a deployment file and evaluate it to a gexp; the files read
-    go into ``lowering.reads``."""
-    try:
-        forms = read_all(read_source(path, lowering.reads))
-    except UnicodeDecodeError as exc:
-        raise StagingError(f"{path}: not UTF-8 text: {exc}") from None
-    if not forms:
-        raise StagingError(f"{path}: empty deployment file")
-    bindings = _base_bindings(path.resolve().parent, lowering)
-    env = HostEnv(bindings)
-    for form in forms[:-1]:
-        head = _head_name(form)
-        if (head == "define" and len(form) == 3
-                and isinstance(form.items[1], Symbol)):
-            bindings[form.items[1].name] = eval_host(form.items[2], env)
-        elif (head == "define-package" and len(form) == 3
-                and isinstance(form.items[1], Symbol)
-                and isinstance(form.items[2], SList)):
-            bindings[form.items[1].name] = _parse_package(form.items[2], env)
-        else:
-            raise StagingError(
-                f"{path}: every form before the last must be a define "
-                f"or define-package")
-    value = eval_host(forms[-1], env)
-    if not isinstance(value, Gexp):
-        raise StagingError(
-            f"{path}: the last form must evaluate to a gexp, "
-            f"got {type(value).__name__}")
-    return value
+                   print_canonical, read, slist)
+from .store import (DEFAULT_SYSTEM, BuildError, Store, StoreError,
+                    _closure_order, _parse_derivation, build,
+                    parse_store_path, read_derivation, validate_store_name)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_name=False) -> None:
@@ -242,20 +145,23 @@ def _write_trace(trace_file: Path, key: SList, root, reads: dict) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _closure_on_disk(store: Store, root: str) -> Derivation:
-    """The derivation at *root*; a StoreError unless every ``.drv``,
-    builder and source of its closure is in *store*."""
-    d = read_derivation(store, root)
-    for _path, drv in _closure_order(store, d):
-        for path in (drv.builder, *drv.input_sources):
-            if not store.contains(path):
-                raise StoreError(f"missing from the store: {path}")
-    return d
+def _closure_on_disk(store: Store, root: str) -> list:
+    """The closure of the derivation at *root*, as `build` takes it; a
+    StoreError unless every ``.drv``, builder and source of it is in
+    *store*."""
+    path = parse_store_path(root)
+    closure = _closure_order(store, path, read_derivation(store, path))
+    for _path, drv in closure:
+        for item in (drv.builder, *drv.input_sources):
+            if not store.contains(item):
+                raise StoreError(f"missing from the store: {item}")
+    return closure
 
 
 def _lower_args(args):
-    """The store, the root ``.drv`` path and its derivation: taken from
-    a matching trace when there is one, else lowered and traced."""
+    """The store, the root ``.drv`` path, its derivation and its closure
+    for `build`: taken from a matching trace when there is one, else
+    lowered and traced, with the closure left for `build` to walk."""
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
     key = slist(*(Boolean(False) if v is None else String(v) for v in (
@@ -266,16 +172,18 @@ def _lower_args(args):
     root = _traced_root(trace_file, key)
     if root is not None:
         try:
-            return store, root, _closure_on_disk(store, root)
+            closure = _closure_on_disk(store, root)
+            return store, root, closure[-1][1], closure
         except StoreError:
             pass
+    from .lowerable import Lowering, load_deployment, lower_gexp
     lowering = Lowering(store, args.system)
     g = load_deployment(source, lowering)
     name = validate_store_name(args.name if args.name else source.stem)
     d = lower_gexp(lowering, name, g, args.target)
     root = lowering.write(d)
     _write_trace(trace_file, key, root, lowering.reads)
-    return store, root, d
+    return store, root, d, None
 
 
 def _cmd_lower(args) -> int:
@@ -284,9 +192,9 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    store, _root, d = _lower_args(args)
+    store, _root, d, closure = _lower_args(args)
     log: list = []
-    outputs = build(store, d, log=log)
+    outputs = build(store, d, log, closure)
     for action, path in log:
         print(f"{action} {path}", file=sys.stderr)
     for out in sorted(outputs):
@@ -321,6 +229,17 @@ def _cmd_add(args) -> int:
     name = args.name if args.name else source.name
     print(store.intern_file(source.read_bytes(), name))
     return 0
+
+
+def _user_errors() -> tuple:
+    """The error classes that exit 1.  An ``except`` clause evaluates
+    this only when an exception reaches it, so the host tier's classes
+    are imported on the error path alone."""
+    from .gexp import StagingError
+    from .lowerable import LoweringError
+    from .modules import ModuleError
+    return (ParseError, StagingError, LoweringError, ModuleError,
+            StoreError, OSError, UnicodeDecodeError)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -359,8 +278,7 @@ def main(argv: Optional[list] = None) -> int:
         where = f" [{exc.derivation}]" if exc.derivation else ""
         print(f"gexpkit: build error{where}: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, StagingError, LoweringError, ModuleError,
-            StoreError, OSError, UnicodeDecodeError) as exc:
+    except _user_errors() as exc:
         print(f"gexpkit: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -7,6 +7,9 @@ the string spliced into the residual program.  A `Lowering` carries
 the store and the system through one lowering run and memoizes per
 (object, target), so shared objects lower once and each derivation is
 written once.
+
+`load_deployment` reads a deployment file (the input of ``gexpkit
+lower`` and ``build``) and evaluates it to the gexp that gets lowered.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-from .gexp import (Gexp, gexp_inputs, gexp_modules, gexp_outputs,
-                   gexp_to_sexp)
-from .modules import intern_module_closure, source_module_closure
-from .sexp import String, print_canonical
+from .gexp import (Gexp, HostEnv, StagingError, _head_name, eval_host,
+                   gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp)
+from .modules import (intern_module_closure, read_source,
+                      source_module_closure)
+from .sexp import SList, String, Symbol, print_canonical, read_all
 from .store import (DEFAULT_SYSTEM, Derivation, Store, StorePath,
                     output_path, validate_store_name, validate_system,
                     write_derivation)
@@ -288,3 +293,103 @@ register_compiler(GexpCompiler(LocalFile, _lower_local_file))
 register_compiler(GexpCompiler(PlainFile, _lower_plain_file))
 register_compiler(GexpCompiler(FileAppend, _lower_file_append,
                                _expand_file_append))
+
+
+def _want_string(value, op: str, what: str) -> str:
+    if not isinstance(value, str):
+        raise StagingError(
+            f"{op}: {what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _base_bindings(base_dir: Path, lowering: Lowering) -> dict:
+    def local_file(path, name=None):
+        p = Path(_want_string(path, "local-file", "the path"))
+        if name is not None:
+            _want_string(name, "local-file", "the name")
+        resolved = p if p.is_absolute() else base_dir / p
+        return LocalFile(str(resolved), name if name is not None else p.name)
+
+    def plain_file(name, content):
+        return PlainFile(_want_string(name, "plain-file", "the name"),
+                         _want_string(content, "plain-file", "the content"))
+
+    def file_append(base, *suffixes):
+        return FileAppend(base, tuple(
+            _want_string(s, "file-append", "a suffix") for s in suffixes))
+
+    return {
+        "local-file": local_file,
+        "plain-file": plain_file,
+        "file-append": file_append,
+        "source-module-closure": lambda names: source_module_closure(
+            names, lowering.store.module_path, lowering.reads),
+    }
+
+
+def _parse_package(form: SList, env: HostEnv) -> Package:
+    if _head_name(form) != "package":
+        raise StagingError("define-package wants a (package ...) form")
+    fields: dict[str, tuple] = {}
+    for item in form.items[1:]:
+        if not (isinstance(item, SList) and item.items
+                and isinstance(item.items[0], Symbol)):
+            raise StagingError(
+                "package fields must look like (field value ...)")
+        fields[item.items[0].name] = item.items[1:]
+
+    def one_string(key):
+        entry = fields.pop(key, None)
+        if entry is None or len(entry) != 1 or not isinstance(entry[0], String):
+            raise StagingError(f"package needs a ({key} \"...\") field")
+        return entry[0].value
+
+    name = one_string("name")
+    version = one_string("version")
+    build_field = fields.pop("build", None)
+    if build_field is None or len(build_field) != 1:
+        raise StagingError("package needs a (build <gexp expression>) field")
+    build_gexp = eval_host(build_field[0], env)
+    if not isinstance(build_gexp, Gexp):
+        raise StagingError(f"package {name}: build expression must produce a gexp")
+    outputs: tuple = ("out",)
+    out_field = fields.pop("outputs", None)
+    if out_field is not None:
+        if not all(isinstance(o, String) for o in out_field):
+            raise StagingError("package outputs must be strings")
+        outputs = tuple(o.value for o in out_field)
+    # Remaining fields are inert metadata, kept as parsed data.
+    return Package(name=name, version=version, build=build_gexp,
+                   outputs=outputs, metadata=dict(fields))
+
+
+def load_deployment(path: Path, lowering: Lowering) -> Gexp:
+    """Read a deployment file and evaluate it to a gexp; the files read
+    go into ``lowering.reads``."""
+    try:
+        forms = read_all(read_source(path, lowering.reads))
+    except UnicodeDecodeError as exc:
+        raise StagingError(f"{path}: not UTF-8 text: {exc}") from None
+    if not forms:
+        raise StagingError(f"{path}: empty deployment file")
+    bindings = _base_bindings(path.resolve().parent, lowering)
+    env = HostEnv(bindings)
+    for form in forms[:-1]:
+        head = _head_name(form)
+        if (head == "define" and len(form) == 3
+                and isinstance(form.items[1], Symbol)):
+            bindings[form.items[1].name] = eval_host(form.items[2], env)
+        elif (head == "define-package" and len(form) == 3
+                and isinstance(form.items[1], Symbol)
+                and isinstance(form.items[2], SList)):
+            bindings[form.items[1].name] = _parse_package(form.items[2], env)
+        else:
+            raise StagingError(
+                f"{path}: every form before the last must be a define "
+                f"or define-package")
+    value = eval_host(forms[-1], env)
+    if not isinstance(value, Gexp):
+        raise StagingError(
+            f"{path}: the last form must evaluate to a gexp, "
+            f"got {type(value).__name__}")
+    return value

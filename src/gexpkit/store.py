@@ -16,6 +16,11 @@ Fingerprints, one per item kind::
 where "blanked text" is the canonical derivation text with every
 output path field emptied (outputs map values and their env copies).
 Nothing here knows about gexps, lowering or modules; those build on it.
+
+The build plan lives here too: `build` walks a derivation's closure,
+dependencies first, and imports the evaluator (``builder``) only for a
+derivation whose outputs are missing, so a build that finds everything
+built never loads it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,15 @@ _HASH_RE = re.compile(f"[{NIX32_ALPHABET}]{{32}}")
 
 class StoreError(Exception):
     pass
+
+
+class BuildError(Exception):
+    """A build failed, or the store holds a dependency cycle; the CLI
+    exits 2.  *derivation* names the ``.drv`` at fault, when known."""
+
+    def __init__(self, message, derivation: Optional[str] = None):
+        super().__init__(message)
+        self.derivation = derivation
 
 
 def base32_hash(data: bytes) -> str:
@@ -457,3 +471,64 @@ def _parse_derivation(data: bytes, source) -> Derivation:
     except (ParseError, StoreError) as exc:
         raise StoreError(f"{source}: {exc}") from None
 
+
+def _closure_order(store: Store, root: StorePath, d: Derivation) -> list:
+    """(path, derivation) for *root*, whose derivation *d* is in the
+    store, and everything it needs: depth-first postorder over
+    input-drvs, dependencies first.  The walk keeps its own stack of
+    (path, derivation, inputs not yet entered), so chain length is
+    bounded by memory, not by recursion."""
+    order = []
+    state = {str(root): "visiting"}
+    stack = [(root, d, iter(d.input_drvs))]
+    while stack:
+        path, drv, deps = stack[-1]
+        for dep_path, _names in deps:
+            key = str(dep_path)
+            if state.get(key) == "visiting":
+                raise BuildError(f"dependency cycle through {key} (corrupt store)",
+                                 derivation=key)
+            if key not in state:
+                state[key] = "visiting"
+                dep = read_derivation(store, dep_path)
+                stack.append((dep_path, dep, iter(dep.input_drvs)))
+                break
+        else:
+            stack.pop()
+            state[str(path)] = "done"
+            order.append((path, drv))
+    return order
+
+
+def _outputs_built(drv: Derivation) -> bool:
+    return all(Path(str(p)).exists() for p in drv.outputs.values())
+
+
+def plan(store: Store, d: Derivation) -> list:
+    """Derivation paths that still need building, dependencies first."""
+    closure = _closure_order(store, write_derivation(store, d), d)
+    return [path for path, drv in closure if not _outputs_built(drv)]
+
+
+def build(store: Store, d: Derivation, log: Optional[list] = None,
+          closure: Optional[list] = None) -> dict:
+    """Build *d* and everything it needs; return its output paths.
+
+    *d* is written (and so checked) first, unless the caller passes the
+    *closure* it has already walked: what `_closure_order` gives for
+    *d*.  Each closure member is either rebuilt or reused: *log*, when
+    given, receives ("build"|"cached", drv path) pairs in execution
+    order.
+    """
+    if closure is None:
+        closure = _closure_order(store, write_derivation(store, d), d)
+    for path, drv in closure:
+        if _outputs_built(drv):
+            if log is not None:
+                log.append(("cached", str(path)))
+            continue
+        from .builder import _run_builder
+        _run_builder(store, drv, str(path))
+        if log is not None:
+            log.append(("build", str(path)))
+    return dict(d.outputs)

@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import tempfile
 import threading
 from dataclasses import replace
@@ -15,6 +16,14 @@ from gexpkit import (BuildError, Derivation, EvalEnv, Package, Store, build,
 
 from conftest import FIXTURE_DIR
 from strategies import builder_programs
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow("did not return at once")
 
 
 def ev(text, **kwargs):
@@ -222,6 +231,23 @@ class TestMiniEval:
         with pytest.raises(BuildError, match="^string-append: result longer "
                                              "than 64 characters$"):
             ev('(let loop ((s "x")) (loop (string-append s s)))')
+
+    def test_printing_is_capped(self, monkeypatch):
+        monkeypatch.setattr(builder, "MAX_STRING_LENGTH", 64)
+        with pytest.raises(BuildError, match="^error: {}$".format("a" * 56)):
+            ev('(error "{}")'.format("a" * 56))
+        # Doubled 64 times, the list would print as 2**64 atoms.  The
+        # timer stops a print that is not bounded before it exhausts memory.
+        signal.signal(signal.SIGALRM, _too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(BuildError, match="^cannot print a value "
+                                                 "longer than 64 characters$"):
+                ev("(let loop ((i 0) (x (list 1)))"
+                   " (if (= i 64) (error x) (loop (+ i 1) (list x x))))")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
     @pytest.mark.parametrize("program, steps", [
         ("(define (fib n) (if (= n 0) 0 (if (= n 1) 1"

@@ -7,11 +7,12 @@ fresh store prints; a hit must call neither ``load_deployment`` nor
 """
 
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gexpkit import cli
+from gexpkit import cli, lowerable, store
 from gexpkit.cli import main
 
 from conftest import FIXTURE_DIR
@@ -36,12 +37,14 @@ DEPLOY = """\
 
 
 class Spy:
-    """Counts the calls of the two lowering entry points the CLI uses."""
+    """Counts the calls of the two lowering entry points the CLI uses,
+    which it imports from `lowerable` when it lowers."""
 
     def __init__(self, monkeypatch):
         self.calls = {"load_deployment": 0, "lower_gexp": 0}
         for name in self.calls:
-            monkeypatch.setattr(cli, name, self._counting(name, getattr(cli, name)))
+            monkeypatch.setattr(lowerable, name,
+                                self._counting(name, getattr(lowerable, name)))
 
     def _counting(self, name, fn):
         def counted(*args, **kwargs):
@@ -209,3 +212,61 @@ def test_failing_to_write_a_trace_does_not_fail(work, capsys, monkeypatch):
     spy = Spy(monkeypatch)
     assert run(capsys, argv) == first
     assert spy.lowered
+
+
+CHAIN = """\
+(define-package p0
+  (package
+    (name "p0")
+    (version "1.0")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/v") "0")))))
+(define-package p1
+  (package
+    (name "p1")
+    (version "1.0")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/v")
+                           (string-append
+                             (read-file (string-append #$p0 "/v")) "1"))))))
+(define-package p2
+  (package
+    (name "p2")
+    (version "1.0")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/v")
+                           (string-append
+                             (read-file (string-append #$p1 "/v")) "2"))))))
+#~(copy-file (string-append #$p2 "/v") #$output)
+"""
+
+
+def test_trace_hit_build_walks_the_closure_once(scratch, capsys,
+                                                monkeypatch):
+    monkeypatch.delenv("GEXP_STORE_DIR", raising=False)
+    deploy = scratch / "chain.scm"
+    deploy.write_text(CHAIN)
+    argv = ["build", str(deploy)]
+    first = run(capsys, argv)
+    assert Path(first.split("\t")[1].strip()).read_text() == "012"
+    reads = Counter()
+    real_read = store.read_derivation
+
+    def counting_read(in_store, path):
+        reads[str(path)] += 1
+        return real_read(in_store, path)
+
+    def no_write(*args):
+        raise AssertionError("a trace-hit build wrote or checked a .drv")
+
+    monkeypatch.setattr(store, "read_derivation", counting_read)
+    monkeypatch.setattr(cli, "read_derivation", counting_read)
+    monkeypatch.setattr(store, "write_derivation", no_write)
+    monkeypatch.setattr(store, "_check_references", no_write)
+    assert run(capsys, argv) == first
+    drvs = {f"./store/{p.name}" for p in Path("store").glob("*.drv")}
+    assert len(drvs) == 4
+    assert reads == dict.fromkeys(drvs, 1)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gexpkit import cli
+from gexpkit import lowerable
 from gexpkit.cli import main
 
 TESTS_DIR = Path(__file__).parent
@@ -82,5 +82,5 @@ def test_trace_hit_prints_the_pinned_root(name, seed, scratch, capsys,
     def no_lowering(*args):
         raise AssertionError("a trace hit lowered the deployment")
 
-    monkeypatch.setattr(cli, "load_deployment", no_lowering)
+    monkeypatch.setattr(lowerable, "load_deployment", no_lowering)
     assert lower_roots(name, seed, scratch, capsys) == table[name][str(seed)]
