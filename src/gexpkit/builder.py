@@ -23,8 +23,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gexp import _arity, _arity_message
-from .modules import ModuleError, ModuleName, load_module
+from .modules import (ModuleError, ModuleName, _arity, _arity_message,
+                      load_module)
 from .sexp import (INT64_MAX, INT64_MIN, Boolean, Integer, Keyword, ParseError,
                    Sexp, SList, String, Symbol, read_all)
 from .store import BuildError, Derivation, Store, rmtree_rw

@@ -22,16 +22,19 @@ Warm builds and traces: after ``lower`` or ``build`` lowers a
 deployment, it writes a trace beside the store, in
 ``<store prefix>.traces/``, named by the SHA-256 of its key: the
 resolved deployment path, the store prefix as given, ``--name``,
-``--system``, ``--target`` and the module search path.  The trace holds
-the root ``.drv`` path, a digest of gexpkit's own sources, and every
-host file lowering read: the SHA-256 of the deployment, of each
-``local-file`` and of each module file, and each module candidate found
-absent.  A later ``lower`` or ``build`` with the same key re-hashes
-those files; if all match and the root's closure (every ``.drv``,
-builder and source) is still in the store, it skips reading, staging
-and lowering.  Anything else (no trace, an unreadable or corrupt one,
-a mismatch, a missing store item) lowers as if there were no trace.
-Delete the traces directory to force a re-lower.
+``--system``, ``--target`` and the module search path.  The trace's
+first line is the SHA-256 of the rest, which holds the key, a digest of
+gexpkit's own sources, every host file lowering read (the SHA-256 of
+the deployment, of each ``local-file`` and of each module file, and
+each module candidate found absent), and the build plan: the root's
+closure in build order, each member as its ``.drv`` path, builder,
+sources and outputs.  A later ``lower`` or ``build`` with the same key
+re-hashes those files; if all match and every ``.drv``, builder and
+source of the plan is still in the store, it skips reading, staging and
+lowering, and `store.build` reads a ``.drv`` only for a member whose
+outputs are missing.  Anything else (no trace, an unreadable, corrupt
+or altered one, a mismatch, a missing store item) lowers as if there
+were no trace.  Delete the traces directory to force a re-lower.
 
 Start-up: each command imports only the tiers it runs.  This module
 loads ``store`` and ``sexp``; ``lower`` and ``build`` import the host
@@ -55,7 +58,7 @@ from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
                    print_canonical, read, slist)
 from .store import (DEFAULT_SYSTEM, BuildError, Store, StoreError,
                     _closure_order, _parse_derivation, build,
-                    parse_store_path, read_derivation, validate_store_name)
+                    validate_store_name)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_name=False) -> None:
@@ -102,39 +105,57 @@ def _file_digest(path: str) -> Sexp:
         return String(hashlib.sha256(fh.read()).hexdigest())
 
 
-def _traced_root(trace_file: Path, key: SList) -> Optional[str]:
-    """The root ``.drv`` path the trace at *trace_file* records for
-    *key*, if the gexpkit sources and every file it read hash as they
-    did; else None."""
+def _traced_plan(trace_file: Path, key: SList) -> Optional[list]:
+    """The build plan the trace at *trace_file* records for *key*, if
+    its checksum holds, the gexpkit sources and every file lowering read
+    hash as they did, and every ``.drv``, builder and source of the plan
+    is in the store; else None."""
     try:
-        trace = read(trace_file.read_text("utf-8", "surrogatepass"))
-        items = trace.items if isinstance(trace, SList) else ()
-        if (len(items) < 4 or items[0] != Symbol("trace") or items[1] != key
-                or not isinstance(items[2], String)
-                or items[3] != String(_source_digest())):
+        checksum, _, data = trace_file.read_bytes().partition(b"\n")
+        if checksum != hashlib.sha256(data).hexdigest().encode():
             return None
-        for entry in items[4:]:
-            if not (isinstance(entry, SList) and len(entry) == 2
-                    and isinstance(entry[0], String)
-                    and _file_digest(entry[0].value) == entry[1]):
+        trace = read(data.decode("utf-8", "surrogatepass"))
+        items = trace.items if isinstance(trace, SList) else ()
+        if items[:3] != (Symbol("trace"), key, String(_source_digest())):
+            return None
+        # The checksum and the source digest hold, so this code wrote
+        # the rest as `_write_trace` lays it out.
+        for path, digest in (entry.items for entry in items[3].items):
+            if _file_digest(path.value) != digest:
                 return None
+        steps = []
+        for member in items[4].items:
+            drv, builder, sources, *outputs = member.items
+            if not all(os.path.exists(item.value)
+                       for item in (drv, builder, *sources.items)):
+                return None
+            steps.append((drv.value, {out.items[0].value: out.items[1].value
+                                      for out in outputs}))
     except (OSError, UnicodeDecodeError, ParseError):
         return None
-    return items[2].value
+    return steps
 
 
-def _write_trace(trace_file: Path, key: SList, root, reads: dict) -> None:
-    """Write the trace of one lowering in one rename; a failure to
-    write it is ignored."""
+def _write_trace(trace_file: Path, key: SList, reads: dict,
+                 closure: list) -> None:
+    """Write the trace of one lowering in one rename: its checksum line,
+    then the key, the source digest, the reads and the build plan of
+    *closure*, each member as its ``.drv`` path, builder, sources and
+    ``(output-name path)`` pairs.  A failure to write it is ignored."""
     tmp = trace_file.with_name(f".tmp-{os.urandom(8).hex()}")
     try:
-        trace = slist(Symbol("trace"), key, String(str(root)),
-                      String(_source_digest()),
-                      *(slist(String(path), Boolean(False) if digest is None
-                              else String(digest))
-                        for path, digest in reads.items()))
+        data = print_canonical(slist(
+            Symbol("trace"), key, String(_source_digest()),
+            slist(*(slist(String(path), Boolean(False) if digest is None
+                          else String(digest))
+                    for path, digest in reads.items())),
+            slist(*(slist(String(str(path)), String(str(drv.builder)),
+                          slist(*(String(str(s)) for s in drv.input_sources)),
+                          *(slist(String(str(out)), String(str(out_path)))
+                            for out, out_path in drv.outputs.items()))
+                    for path, drv in closure)))).encode("utf-8", "surrogatepass")
         trace_file.parent.mkdir(exist_ok=True)
-        tmp.write_text(print_canonical(trace), "utf-8", "surrogatepass")
+        tmp.write_bytes(hashlib.sha256(data).hexdigest().encode() + b"\n" + data)
         # Renaming over a file can make the file system flush the new
         # file's data first (ext4 does); renaming to a free name does not.
         with contextlib.suppress(FileNotFoundError):
@@ -145,23 +166,10 @@ def _write_trace(trace_file: Path, key: SList, root, reads: dict) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _closure_on_disk(store: Store, root: str) -> list:
-    """The closure of the derivation at *root*, as `build` takes it; a
-    StoreError unless every ``.drv``, builder and source of it is in
-    *store*."""
-    path = parse_store_path(root)
-    closure = _closure_order(store, path, read_derivation(store, path))
-    for _path, drv in closure:
-        for item in (drv.builder, *drv.input_sources):
-            if not store.contains(item):
-                raise StoreError(f"missing from the store: {item}")
-    return closure
-
-
 def _lower_args(args):
-    """The store, the root ``.drv`` path, its derivation and its closure
-    for `build`: taken from a matching trace when there is one, else
-    lowered and traced, with the closure left for `build` to walk."""
+    """The store and the build plan of the deployment (the root last):
+    taken from a matching trace when there is one, else lowered and
+    traced."""
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
     key = slist(*(Boolean(False) if v is None else String(v) for v in (
@@ -169,32 +177,29 @@ def _lower_args(args):
         args.target)), slist(*map(String, store.module_path)))
     trace_file = Path(store.prefix + ".traces") / hashlib.sha256(
         print_canonical(key).encode("utf-8", "surrogatepass")).hexdigest()
-    root = _traced_root(trace_file, key)
-    if root is not None:
-        try:
-            closure = _closure_on_disk(store, root)
-            return store, root, closure[-1][1], closure
-        except StoreError:
-            pass
+    steps = _traced_plan(trace_file, key)
+    if steps is not None:
+        return store, steps
     from .lowerable import Lowering, load_deployment, lower_gexp
     lowering = Lowering(store, args.system)
     g = load_deployment(source, lowering)
     name = validate_store_name(args.name if args.name else source.stem)
     d = lower_gexp(lowering, name, g, args.target)
-    root = lowering.write(d)
-    _write_trace(trace_file, key, root, lowering.reads)
-    return store, root, d, None
+    closure = _closure_order(store, lowering.write(d), d)
+    _write_trace(trace_file, key, lowering.reads, closure)
+    return store, [(path, drv.outputs) for path, drv in closure]
 
 
 def _cmd_lower(args) -> int:
-    print(_lower_args(args)[1])
+    _store, steps = _lower_args(args)
+    print(steps[-1][0])
     return 0
 
 
 def _cmd_build(args) -> int:
-    store, _root, d, closure = _lower_args(args)
+    store, steps = _lower_args(args)
     log: list = []
-    outputs = build(store, d, log, closure)
+    outputs = build(store, steps, log)
     for action, path in log:
         print(f"{action} {path}", file=sys.stderr)
     for out in sorted(outputs):

@@ -21,12 +21,11 @@ applies the template.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Mapping, Optional
 
-from .modules import ModuleName, coerce_module_names
+from .modules import ModuleName, _arity, _arity_message, coerce_module_names
 from .sexp import (Boolean, Digest, Integer, Keyword, Sexp, SList, String,
                    Symbol, hash_sexp, print_canonical, slist)
 
@@ -479,27 +478,6 @@ def eval_host(expr: Sexp, env: HostEnv, imported_modules=()):
                     print_canonical(expr.items[0]), least, most, len(args)))
         return fn(*args)
     raise StagingError(f"cannot evaluate host expression: {expr!r}")
-
-
-def _arity(fn: FunctionType, skip: int = 0) -> tuple[int, int]:
-    """The fewest and the most positional arguments *fn* takes after its
-    first *skip* parameters, read off its code; sys.maxsize for *args."""
-    code = fn.__code__
-    most = code.co_argcount - skip
-    least = most - len(fn.__defaults__ or ())
-    if code.co_flags & 0x04:  # CO_VARARGS
-        most = sys.maxsize
-    return least, most
-
-
-def _arity_message(name: str, least: int, most: int, count: int) -> str:
-    if least == most:
-        wanted = str(least)
-    elif most == sys.maxsize:
-        wanted = f"at least {least}"
-    else:
-        wanted = f"{least} to {most}"
-    return f"{name}: expected {wanted} arguments, got {count}"
 
 
 def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:

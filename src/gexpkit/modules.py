@@ -4,14 +4,20 @@ A module name like ``(demo util a)`` maps to the relative path
 ``demo/util/a.scm``.  Module files start with a ``(define-module ...)``
 header whose ``#:use-module`` clauses declare imports; the closure
 walk follows those edges depth-first, keeping first occurrences.
+
+The arity check of a built-in procedure lives here too, so the host
+evaluator (``gexp``) and the builder share it without the builder
+loading ``gexp``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import FunctionType
 from typing import Iterable, Optional, Sequence
 
 from .sexp import (Keyword, Sexp, SList, Symbol, print_canonical, read_all,
@@ -179,3 +185,24 @@ def intern_module_closure(store, files: Sequence[ModuleFile]):
             raise ModuleError(f"conflicting contents for module {module.name}")
         entries[relpath] = text
     return store.intern_dir(entries, "modules")
+
+
+def _arity(fn: FunctionType, skip: int = 0) -> tuple[int, int]:
+    """The fewest and the most positional arguments *fn* takes after its
+    first *skip* parameters, read off its code; sys.maxsize for *args."""
+    code = fn.__code__
+    most = code.co_argcount - skip
+    least = most - len(fn.__defaults__ or ())
+    if code.co_flags & 0x04:  # CO_VARARGS
+        most = sys.maxsize
+    return least, most
+
+
+def _arity_message(name: str, least: int, most: int, count: int) -> str:
+    if least == most:
+        wanted = str(least)
+    elif most == sys.maxsize:
+        wanted = f"at least {least}"
+    else:
+        wanted = f"{least} to {most}"
+    return f"{name}: expected {wanted} arguments, got {count}"

@@ -17,10 +17,11 @@ where "blanked text" is the canonical derivation text with every
 output path field emptied (outputs map values and their env copies).
 Nothing here knows about gexps, lowering or modules; those build on it.
 
-The build plan lives here too: `build` walks a derivation's closure,
-dependencies first, and imports the evaluator (``builder``) only for a
-derivation whose outputs are missing, so a build that finds everything
-built never loads it.
+The build plan lives here too: (``.drv`` path, outputs) for each
+member of a derivation's closure, dependencies first.  `build` runs
+one, reads a member's ``.drv`` only when some of its outputs are
+missing, and imports the evaluator (``builder``) only then, so a build
+that finds everything built never loads it.
 """
 
 from __future__ import annotations
@@ -500,35 +501,42 @@ def _closure_order(store: Store, root: StorePath, d: Derivation) -> list:
     return order
 
 
-def _outputs_built(drv: Derivation) -> bool:
-    return all(Path(str(p)).exists() for p in drv.outputs.values())
+def _outputs_built(outputs: Mapping) -> bool:
+    return all(os.path.exists(str(p)) for p in outputs.values())
+
+
+def _build_plan(store: Store, d: Derivation) -> list:
+    """The build plan of *d*, which is written (and so checked) first:
+    (``.drv`` path, outputs) for each member of its closure, in the
+    order `_closure_order` gives."""
+    return [(path, drv.outputs) for path, drv in
+            _closure_order(store, write_derivation(store, d), d)]
 
 
 def plan(store: Store, d: Derivation) -> list:
     """Derivation paths that still need building, dependencies first."""
-    closure = _closure_order(store, write_derivation(store, d), d)
-    return [path for path, drv in closure if not _outputs_built(drv)]
+    return [path for path, outputs in _build_plan(store, d)
+            if not _outputs_built(outputs)]
 
 
-def build(store: Store, d: Derivation, log: Optional[list] = None,
-          closure: Optional[list] = None) -> dict:
-    """Build *d* and everything it needs; return its output paths.
+def build(store: Store, d: Derivation | list,
+          log: Optional[list] = None) -> dict:
+    """Build *d* and everything it needs; return *d*'s output paths.
 
-    *d* is written (and so checked) first, unless the caller passes the
-    *closure* it has already walked: what `_closure_order` gives for
-    *d*.  Each closure member is either rebuilt or reused: *log*, when
-    given, receives ("build"|"cached", drv path) pairs in execution
-    order.
+    *d* is a Derivation, or its build plan as `_build_plan` gives it and
+    the CLI's traces keep it.  A member whose outputs all exist is
+    reused without reading its ``.drv``; any other is read and built.
+    *log*, when given, receives ("build"|"cached", drv path) pairs in
+    execution order.
     """
-    if closure is None:
-        closure = _closure_order(store, write_derivation(store, d), d)
-    for path, drv in closure:
-        if _outputs_built(drv):
+    steps = _build_plan(store, d) if isinstance(d, Derivation) else d
+    for path, outputs in steps:
+        if _outputs_built(outputs):
             if log is not None:
                 log.append(("cached", str(path)))
             continue
         from .builder import _run_builder
-        _run_builder(store, drv, str(path))
+        _run_builder(store, read_derivation(store, path), str(path))
         if log is not None:
             log.append(("build", str(path)))
-    return dict(d.outputs)
+    return dict(steps[-1][1])

@@ -95,8 +95,7 @@ def test_built_but_not_lowered_loads_the_evaluator_only_to_build(
                                           str(image_deployment))
     assert code == 0, err
     assert [line.split()[0] for line in err.splitlines()] == ["build"] * 2
-    assert EVALUATOR in modules
-    assert "gexpkit.lowerable" not in modules
+    assert modules == STORE_TIER | {EVALUATOR, "gexpkit.modules"}
 
 
 @pytest.mark.parametrize("text, code, message", [

@@ -244,29 +244,82 @@ CHAIN = """\
 """
 
 
-def test_trace_hit_build_walks_the_closure_once(scratch, capsys,
-                                                monkeypatch):
+@pytest.fixture
+def chain(scratch, monkeypatch):
+    """``build`` argv for `CHAIN` in a fresh ``./store``."""
     monkeypatch.delenv("GEXP_STORE_DIR", raising=False)
     deploy = scratch / "chain.scm"
     deploy.write_text(CHAIN)
-    argv = ["build", str(deploy)]
-    first = run(capsys, argv)
+    return ["build", str(deploy)]
+
+
+def count_parses(monkeypatch) -> Counter:
+    """Counts, by ``.drv`` path, the derivations `store` parses."""
+    parses = Counter()
+    real_parse = store._parse_derivation
+
+    def counting_parse(data, source):
+        parses[str(source)] += 1
+        return real_parse(data, source)
+
+    monkeypatch.setattr(store, "_parse_derivation", counting_parse)
+    return parses
+
+
+def test_all_cached_trace_hit_reads_no_drv(chain, capsys, monkeypatch):
+    first = run(capsys, chain)
     assert Path(first.split("\t")[1].strip()).read_text() == "012"
-    reads = Counter()
-    real_read = store.read_derivation
 
-    def counting_read(in_store, path):
-        reads[str(path)] += 1
-        return real_read(in_store, path)
+    def no_access(*args):
+        raise AssertionError("an all-cached trace hit read or wrote a .drv")
 
-    def no_write(*args):
-        raise AssertionError("a trace-hit build wrote or checked a .drv")
+    for name in ("read_derivation", "_parse_derivation", "_closure_order",
+                 "write_derivation", "_check_references"):
+        monkeypatch.setattr(store, name, no_access)
+    spy = Spy(monkeypatch)
+    assert run(capsys, chain) == first
+    assert spy.skipped
 
-    monkeypatch.setattr(store, "read_derivation", counting_read)
-    monkeypatch.setattr(cli, "read_derivation", counting_read)
-    monkeypatch.setattr(store, "write_derivation", no_write)
-    monkeypatch.setattr(store, "_check_references", no_write)
-    assert run(capsys, argv) == first
+
+def test_trace_hit_parses_only_what_it_builds(chain, scratch, capsys,
+                                              monkeypatch):
+    (scratch / "fresh").mkdir()
+    monkeypatch.chdir(scratch / "fresh")
+    assert main(chain) == 0
+    fresh = capsys.readouterr()
+    monkeypatch.chdir(scratch)
+    run(capsys, ["lower", chain[1]])
     drvs = {f"./store/{p.name}" for p in Path("store").glob("*.drv")}
     assert len(drvs) == 4
-    assert reads == dict.fromkeys(drvs, 1)
+    spy = Spy(monkeypatch)
+    parses = count_parses(monkeypatch)
+    assert main(chain) == 0
+    assert capsys.readouterr() == fresh
+    assert spy.skipped
+    assert parses == dict.fromkeys(drvs, 1)
+
+    [p1] = Path("store").glob("*-p1-1.0")
+    store.rmtree_rw(str(p1))
+    [p1_drv] = (d for d in drvs if d.endswith("-p1-1.0.drv"))
+    parses.clear()
+    assert main(chain) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh.out
+    assert spy.skipped
+    assert parses == {p1_drv: 1}
+    assert err == fresh.err.replace("build ", "cached ").replace(
+        f"cached {p1_drv}", f"build {p1_drv}")
+    assert p1.is_dir()
+
+
+def test_edited_trace_is_a_miss(chain, capsys, monkeypatch):
+    first = run(capsys, chain)
+    [trace] = Path("store.traces").iterdir()
+    data = trace.read_bytes()
+    assert data.count(b'("out" "') == 4
+    trace.unlink()
+    trace.write_bytes(data.replace(b'("out" "', b'("nut" "'))
+    spy = Spy(monkeypatch)
+    assert run(capsys, chain) == first
+    assert spy.lowered
+    assert trace.read_bytes() == data
