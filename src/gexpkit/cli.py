@@ -27,8 +27,10 @@ first line is the SHA-256 of the rest, which holds the key, a digest of
 gexpkit's own sources, every host file lowering read (the SHA-256 of
 the deployment, of each ``local-file`` and of each module file, and
 each module candidate found absent), and the build plan: the root's
-closure in build order, each member as its ``.drv`` path, builder,
-sources and outputs.  A later ``lower`` or ``build`` with the same key
+closure in the order lowering wrote it (dependencies first, each
+package's inputs in the order its gexp names them, the root last), each
+member as its ``.drv`` path, builder, sources and outputs.  A later
+``lower`` or ``build`` with the same key
 re-hashes those files; if all match and every ``.drv``, builder and
 source of the plan is still in the store, it skips reading, staging and
 lowering, and `store.build` reads a ``.drv`` only for a member whose
@@ -57,8 +59,7 @@ from typing import Optional
 from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
                    print_canonical, read, slist)
 from .store import (DEFAULT_SYSTEM, BuildError, Store, StoreError,
-                    _closure_order, _parse_derivation, build,
-                    validate_store_name)
+                    _parse_derivation, build, validate_store_name)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_name=False) -> None:
@@ -169,7 +170,7 @@ def _write_trace(trace_file: Path, key: SList, reads: dict,
 def _lower_args(args):
     """The store and the build plan of the deployment (the root last):
     taken from a matching trace when there is one, else lowered and
-    traced."""
+    traced; a lowering's plan is the order it wrote the closure in."""
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
     key = slist(*(Boolean(False) if v is None else String(v) for v in (
@@ -184,10 +185,11 @@ def _lower_args(args):
     lowering = Lowering(store, args.system)
     g = load_deployment(source, lowering)
     name = validate_store_name(args.name if args.name else source.stem)
-    d = lower_gexp(lowering, name, g, args.target)
-    closure = _closure_order(store, lowering.write(d), d)
-    _write_trace(trace_file, key, lowering.reads, closure)
-    return store, [(path, drv.outputs) for path, drv in closure]
+    lower_gexp(lowering, name, g, args.target)
+    plan = list({str(path): (path, drv)
+                 for path, drv in lowering.written.values()}.values())
+    _write_trace(trace_file, key, lowering.reads, plan)
+    return store, [(path, drv.outputs) for path, drv in plan]
 
 
 def _cmd_lower(args) -> int:
@@ -287,8 +289,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"gexpkit: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("gexpkit: error: nesting or dependency chain too deep "
-              "(recursion limit)", file=sys.stderr)
+        print("gexpkit: error: nesting too deep (recursion limit)",
+              file=sys.stderr)
         return 1
 
 

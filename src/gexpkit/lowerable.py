@@ -138,7 +138,9 @@ class Lowering:
     the store, the system, and memos that last as long as the run.
     ``lowered`` maps (object id, target) to (lowered item, object) and
     ``written`` maps a derivation's id to (``.drv`` path, derivation);
-    holding the object keeps its id from being reused meanwhile.  The
+    holding the object keeps its id from being reused meanwhile.  Each
+    derivation is written after its inputs, so ``written`` in order, with
+    repeated paths dropped, is the build plan of what was lowered.  The
     derivations themselves are memoized by the store, so a derivation's
     inputs are checked without reading them back.  ``reads`` records
     every host file the run read: it maps the path to the SHA-256 hex
@@ -164,13 +166,52 @@ class Lowering:
 
 
 def lower_object(obj, lowering: Lowering, target: Optional[str] = None):
-    """Lower *obj* for *target*, memoized on *lowering*."""
+    """Lower *obj* for *target*, memoized on *lowering*.
+
+    What an object needs (`_needs`) lowers before it, depth first in the
+    order it is named.  The walk keeps its own stack, so a dependency
+    chain is bounded by memory, not by recursion; an object met again
+    while it is still open raises `LoweringError` naming the cycle."""
+    lowered = lowering.lowered
     key = (id(obj), target)
-    hit = lowering.lowered.get(key)
-    if hit is None:
-        lowered = _compiler(obj).lower(obj, lowering, target)
-        hit = lowering.lowered[key] = (lowered, obj)
-    return hit[0]
+    if key in lowered:
+        return lowered[key][0]
+    opened = {key: 0}  # (object id, target) -> its index in the stack
+    stack = [(obj, target, iter(_needs(obj, target)))]
+    while stack:
+        node, node_target, needs = stack[-1]
+        for dep, dep_target in needs:
+            dep_key = (id(dep), dep_target)
+            if dep_key in lowered:
+                continue
+            if dep_key in opened:
+                cycle = [n for n, _, _ in stack[opened[dep_key]:]] + [dep]
+                raise LoweringError(
+                    "dependency cycle: " + " -> ".join(map(repr, cycle)))
+            opened[dep_key] = len(stack)
+            stack.append((dep, dep_target, iter(_needs(dep, dep_target))))
+            break
+        else:
+            stack.pop()
+            lowered[(id(node), node_target)] = (
+                _compiler(node).lower(node, lowering, node_target), node)
+    return lowered[key][0]
+
+
+def _needs(obj, target: Optional[str]) -> list:
+    """The (object, target) pairs that lower before *obj* for *target*:
+    a package's gexp inputs and a file-append's base."""
+    if isinstance(obj, Package):
+        return _inputs(obj.build, target)
+    if isinstance(obj, FileAppend):
+        return [(obj.base, target)]
+    return []
+
+
+def _inputs(g: Gexp, target: Optional[str]) -> list:
+    """Each object *g* embeds, with its effective target (none under #+)."""
+    return [(ref.payload.obj, None if ref.native else target)
+            for ref in gexp_inputs(g)]
 
 
 def expand_object(obj, lowered) -> str:
@@ -211,9 +252,8 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     # Inputs lower first, so the resolver below only hits the memo.
     drv_inputs: dict[str, tuple[StorePath, set]] = {}
     source_inputs: dict[str, StorePath] = {}
-    for ref in gexp_inputs(g):
-        effective_target = None if ref.native else target
-        lowered = lower_object(ref.payload.obj, lowering, effective_target)
+    for obj, obj_target in _inputs(g, target):
+        lowered = lower_object(obj, lowering, obj_target)
         if isinstance(lowered, Derivation):
             drv_path = lowering.write(lowered)
             entry = drv_inputs.setdefault(str(drv_path), (drv_path, set()))

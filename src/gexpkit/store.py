@@ -18,10 +18,13 @@ output path field emptied (outputs map values and their env copies).
 Nothing here knows about gexps, lowering or modules; those build on it.
 
 The build plan lives here too: (``.drv`` path, outputs) for each
-member of a derivation's closure, dependencies first.  `build` runs
-one, reads a member's ``.drv`` only when some of its outputs are
-missing, and imports the evaluator (``builder``) only then, so a build
-that finds everything built never loads it.
+member of a derivation's closure, dependencies first.  The CLI's plan
+is the order its lowering wrote the closure in, each package's inputs
+in the order its gexp names them; `plan` and `build` of a `Derivation`
+walk the store instead, inputs in ``.drv`` text order.  `build` takes
+the derivation of a member whose outputs are missing from the memo, or
+else reads its ``.drv``, and imports the evaluator (``builder``) only
+then, so a build that finds everything built never loads it.
 """
 
 from __future__ import annotations
@@ -478,7 +481,8 @@ def _closure_order(store: Store, root: StorePath, d: Derivation) -> list:
     store, and everything it needs: depth-first postorder over
     input-drvs, dependencies first.  The walk keeps its own stack of
     (path, derivation, inputs not yet entered), so chain length is
-    bounded by memory, not by recursion."""
+    bounded by memory, not by recursion.  It reads every input's
+    ``.drv``; the CLI takes its plan from its `Lowering` instead."""
     order = []
     state = {str(root): "visiting"}
     stack = [(root, d, iter(d.input_drvs))]
@@ -523,9 +527,10 @@ def build(store: Store, d: Derivation | list,
           log: Optional[list] = None) -> dict:
     """Build *d* and everything it needs; return *d*'s output paths.
 
-    *d* is a Derivation, or its build plan as `_build_plan` gives it and
-    the CLI's traces keep it.  A member whose outputs all exist is
-    reused without reading its ``.drv``; any other is read and built.
+    *d* is a Derivation, or its build plan as `_build_plan` gives it,
+    as a `Lowering` wrote it, or as the CLI's traces keep it.  A member
+    whose outputs all exist is reused without reading its ``.drv``; any
+    other is built, from the memo's derivation when the memo has one.
     *log*, when given, receives ("build"|"cached", drv path) pairs in
     execution order.
     """
@@ -536,7 +541,9 @@ def build(store: Store, d: Derivation | list,
                 log.append(("cached", str(path)))
             continue
         from .builder import _run_builder
-        _run_builder(store, read_derivation(store, path), str(path))
+        entry = store.derivations.get(str(path))
+        _run_builder(store, entry[1] if entry else read_derivation(store, path),
+                     str(path))
         if log is not None:
             log.append(("build", str(path)))
     return dict(steps[-1][1])

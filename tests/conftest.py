@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from gexpkit import Store
+from gexpkit.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -36,6 +39,27 @@ DEPLOY_IMAGE = """\
                   "-quality=75%:"
                   (read-file #$image))))
 """
+
+
+def package_chain(length):
+    """A deployment of *length* packages, each embedding its two
+    predecessors, and a root embedding the last two; the text nests no
+    deeper than one package."""
+    def build(i):
+        deps = " ".join(f"#$p{j}" for j in (i - 1, i - 2) if j >= 0)
+        return f"#~(begin (mkdir #$output) (list {deps}))"
+
+    forms = [f'(define-package p{i} (package (name "p{i}") (version "1")'
+             f' (build {build(i)})))' for i in range(length)]
+    return "\n".join([*forms, build(length)]).encode()
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``gexpkit.cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import pytest
 import gexpkit
 from gexpkit.cli import main
 
-from conftest import DEPLOY_IMAGE, JPG_BYTES, write_image_deployment
+from conftest import (DEPLOY_IMAGE, JPG_BYTES, package_chain,
+                      write_image_deployment)
 
 MODULE_DEPLOY = """\
 (with-imported-modules '((demo util a))
@@ -17,18 +18,6 @@ MODULE_DEPLOY = """\
       (mkdir #$output)
       (write-file (string-append #$output "/label") (a-label))))
 """
-
-
-def package_chain(length):
-    """A deployment of *length* packages, each embedding the one before;
-    the text nests no deeper than one package."""
-    forms = ['(define-package p0 (package (name "p0") (version "1")'
-             ' (build #~(mkdir #$output))))']
-    for i in range(1, length):
-        forms.append(f'(define-package p{i} (package (name "p{i}")'
-                     f' (version "1") (build #~(list #$output #$p{i - 1}))))')
-    forms.append(f"#~(list #$output #$p{length - 1})")
-    return "\n".join(forms).encode()
 
 
 def run(capsys, *argv):
@@ -240,8 +229,7 @@ class TestFailureModes:
           "mods/demo/util/a.scm":
               b'(define-module (demo util a))\n(define (a-label) "\xff")\n'},
          "demo/util/a.scm"),
-        ({"hostile.scm": package_chain(400)}, "too deep"),
-    ], ids=["deep-nesting", "not-utf8", "not-utf8-module", "long-chain"])
+    ], ids=["deep-nesting", "not-utf8", "not-utf8-module"])
     def test_hostile_input_exits_1_without_traceback(self, capsys, scratch,
                                                      files, named):
         for relpath, data in files.items():
@@ -253,6 +241,19 @@ class TestFailureModes:
         assert err.startswith("gexpkit: error:")
         assert "Traceback" not in err
         assert named in err
+
+    def test_long_chain_builds_then_is_all_cached(self, capsys, scratch):
+        assert sys.getrecursionlimit() == 1000
+        deploy = scratch / "chain.scm"
+        deploy.write_bytes(package_chain(2000))
+        code, first, err = run(capsys, "build", str(deploy))
+        assert code == 0, err[-300:]
+        assert len(err.splitlines()) == 2001
+        assert all(line.startswith("build ") for line in err.splitlines())
+        code, second, err = run(capsys, "build", str(deploy))
+        assert (code, second) == (0, first)
+        assert len(err.splitlines()) == 2001
+        assert all(line.startswith("cached ") for line in err.splitlines())
 
     @pytest.mark.parametrize("call, message", [
         ("(car)", "car: expected 1 arguments, got 0"),

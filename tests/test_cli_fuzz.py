@@ -5,12 +5,15 @@ must exit 0, 1 or 2, let no exception escape ``main``, and start its
 stderr with ``gexpkit:`` whenever it fails.  ``build`` is not fuzzed
 with mutated deployments: builders still accept absolute paths, so a
 mutated program could write outside the scratch directory.  It is
-fuzzed with mutated traces: a fixed deployment whose trace is truncated
-or has bits flipped must still build, printing what it printed before.
+fuzzed with mutated traces: a fixed deployment whose trace has a bit
+flipped in an output name or path of its build plan, and maybe is
+truncated or has more bits flipped, must still build, printing what it
+printed before.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from gexpkit.cli import main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, run_main
 
 SEEDS = {
     "package": """\
@@ -99,13 +102,6 @@ def mutated(draw, seeds):
     return bytes(data)
 
 
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def assert_clean_exit(code, _out, err):
     assert code in (0, 1, 2)
     if code != 0:
@@ -177,7 +173,8 @@ TRACED = """\
 @pytest.fixture(scope="module")
 def traced_build(tmp_path_factory):
     """A built deployment with a package and modules: its build argv and
-    stdout, its trace file and the trace's bytes."""
+    stdout, its trace file, the trace's bytes, and the byte ranges of
+    every output name and output path in the trace's build plan."""
     directory = tmp_path_factory.mktemp("traced")
     deploy = directory / "deploy.scm"
     deploy.write_text(TRACED)
@@ -185,25 +182,36 @@ def traced_build(tmp_path_factory):
     code, out, err = run_main(argv)
     assert code == 0, err
     [trace] = (directory / "store.traces").iterdir()
-    return argv, out, trace, trace.read_bytes()
+    data = trace.read_bytes()
+    # Only the plan's (output-name path) pairs hold a store path second.
+    pairs = re.finditer(rb'\("([^"]+)" "(%s/[^"]+)"\)'
+                        % re.escape(str(directory / "store").encode()), data)
+    spans = [pair.span(group) for pair in pairs for group in (1, 2)]
+    assert len(spans) == 4
+    return argv, out, trace, data, spans
 
 
 @st.composite
-def corrupted(draw, data: bytes):
-    """*data* truncated, or with one to three bits flipped."""
+def corrupted(draw, data: bytes, spans: list):
+    """*data* with a bit flipped in one of *spans*, then maybe truncated
+    after that byte, or with up to two more bits flipped elsewhere."""
     data = bytearray(data)
+    start, end = draw(st.sampled_from(spans))
+    edited = draw(st.integers(start, end - 1))
+    data[edited] ^= 1 << draw(st.integers(0, 7))
     if draw(st.booleans()):
-        return bytes(data[:draw(st.integers(0, len(data) - 1))])
-    for _ in range(draw(st.integers(1, 3))):
-        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data[:draw(st.integers(edited + 1, len(data)))])
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(data) - 1).filter(lambda i: i != edited))
+        data[pos] ^= 1 << draw(st.integers(0, 7))
     return bytes(data)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_build_ignores_a_corrupt_trace(traced_build, data):
-    argv, out, trace, good = traced_build
-    bad = data.draw(corrupted(good))
+    argv, out, trace, good, spans = traced_build
+    bad = data.draw(corrupted(good, spans))
     # A new file: truncating the old one can cost a flush of its data.
     trace.unlink()
     trace.write_bytes(bad)

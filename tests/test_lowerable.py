@@ -1,6 +1,7 @@
 import builtins
 import gc
 import io
+import re
 import weakref
 from dataclasses import replace
 
@@ -191,6 +192,18 @@ class TestLowering:
     def test_long_chain_lowers(self, store):
         d = gexp_to_derivation(store, "top", package_chain(250))
         assert len(d.input_drvs) == 2
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_dependency_cycle_is_a_lowering_error(self, store, length):
+        pkgs = [make_package(f"p{i}", "1") for i in range(length)]
+        for pkg, dep in zip(pkgs, pkgs[1:] + pkgs[:1]):
+            pkg.build = stage(read("(begin (mkdir #$output) (list #$dep))"),
+                              {"dep": dep})
+        cycle = " -> ".join(map(repr, [*pkgs, pkgs[0]]))
+        with pytest.raises(LoweringError,
+                           match=re.escape(f"dependency cycle: {cycle}")):
+            gexp_to_derivation(store, "top",
+                               stage(read("(list #$p)"), {"p": pkgs[0]}))
 
     def test_lowering_rejects_invalid_system(self, store):
         with pytest.raises(StoreError, match="invalid system tag"):
