@@ -534,17 +534,23 @@ class _Evaluator:
             self.steps = steps
 
     def _load_module(self, name: ModuleName) -> None:
-        if name in self.loaded_modules:
-            return
-        self.loaded_modules.add(name)
-        try:
-            module = load_module(
-                name, [_resolve(self.env, d) for d in self.env.module_path])
-        except (ModuleError, ParseError, OSError) as exc:
-            raise BuildError(f"cannot load module {name}: {exc}") from exc
-        for imported in module.imports:
-            self._load_module(imported)
-        self.run(_compile_body(module.source[1:]), self.globals)
+        # Imports run first; a module counts as loaded once entered.
+        search_path = [_resolve(self.env, d) for d in self.env.module_path]
+        stack = [(None, iter((name,)))]
+        while stack:
+            for name in stack[-1][1]:
+                if name not in self.loaded_modules:
+                    self.loaded_modules.add(name)
+                    try:
+                        module = load_module(name, search_path)
+                    except (ModuleError, ParseError, OSError) as exc:
+                        raise BuildError(f"cannot load module {name}: {exc}") from exc
+                    stack.append((module, iter(module.imports)))
+                    break
+            else:
+                module = stack.pop()[0]
+                if module is not None:
+                    self.run(_compile_body(module.source[1:]), self.globals)
 
 
 def _resolve(env: EvalEnv, path: str) -> str:
@@ -692,8 +698,8 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
     try:
         return evaluator.run(_compile_body(forms), evaluator.globals)
     except RecursionError:
-        # The compiler, module imports and the printing of nested lists
-        # recurse on the host stack; program calls never do.
+        # The compiler, use-modules in module bodies and the printing of
+        # nested lists recurse on the host stack; program calls never do.
         raise BuildError("recursion limit exceeded in builder program") from None
 
 

@@ -325,7 +325,11 @@ def _lower_file_append(fa: FileAppend, lowering: Lowering, target):
 
 
 def _expand_file_append(fa: FileAppend, lowered) -> str:
-    return expand_object(fa.base, lowered) + "".join(fa.suffixes)
+    suffixes = []  # every suffix of the chain, last first
+    while isinstance(fa, FileAppend):
+        suffixes.extend(reversed(fa.suffixes))
+        fa = fa.base
+    return expand_object(fa, lowered) + "".join(reversed(suffixes))
 
 
 register_compiler(GexpCompiler(Package, _lower_package))

@@ -148,25 +148,26 @@ def source_module_closure(names: Iterable, search_path: Sequence,
 
     Depth-first, first occurrence wins, so ``A -> B -> C`` comes out as
     [A, B, C].  Import cycles are an error.  *reads* is passed to
-    `load_module`.
+    `load_module`.  The walk keeps its own stack, so an import chain is
+    bounded by memory, not by recursion.
     """
     out: list[ModuleFile] = []
-    done: set[ModuleName] = set()
-
-    def visit(name: ModuleName, chain: tuple[ModuleName, ...]):
-        if name in done:
-            return
-        if name in chain:
-            pretty = " -> ".join(str(n) for n in chain + (name,))
-            raise ModuleError(f"cyclic module imports: {pretty}")
-        module = load_module(name, search_path, reads)
-        out.append(module)
-        for imported in module.imports:
-            visit(imported, chain + (name,))
-        done.add(name)
-
-    for name in coerce_module_names(names):
-        visit(name, ())
+    entered: set[ModuleName] = set()
+    open_names: set[ModuleName] = set()
+    stack = [(None, iter(coerce_module_names(names)))]
+    while stack:
+        for name in stack[-1][1]:
+            if name in open_names:
+                chain = " -> ".join(str(n) for n, _ in stack[1:])
+                raise ModuleError(f"cyclic module imports: {chain} -> {name}")
+            if name not in entered:
+                entered.add(name)
+                open_names.add(name)
+                out.append(load_module(name, search_path, reads))
+                stack.append((name, iter(out[-1].imports)))
+                break
+        else:
+            open_names.discard(stack.pop()[0])
     return out
 
 

@@ -33,8 +33,6 @@ import hashlib
 import os
 import re
 import shutil
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -155,10 +153,10 @@ class Store:
     Build-side modules are searched for on *module_path*, fixed for the
     store's life.
 
-    Every item enters through ``commit``, which stages it under the
-    prefix and renames it into place, so interning is atomic and
+    Every item enters through ``commit``, so interning is atomic and
     idempotent: re-interning existing content is a no-op (the
-    ``writes`` counter only moves on actual materialization).
+    ``writes`` counter only moves on actual materialization), and
+    concurrent writers, threads or processes, agree without a lock.
 
     ``derivations`` is the one derivation memo, for the Store's life:
     it maps a ``.drv`` path string to the bytes and the ``Derivation``
@@ -176,20 +174,6 @@ class Store:
         self.writes = 0
         self.derivations: dict[str, tuple[bytes, Derivation]] = {}
         self.module_path = tuple(module_path)
-        self._tlock = threading.Lock()
-
-    @contextmanager
-    def _locked(self):
-        # In-process lock plus an advisory file lock for other writers.
-        import fcntl
-
-        with self._tlock:
-            with open(os.path.join(self.prefix, ".lock"), "w") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
 
     def contains(self, path: StorePath) -> bool:
         return path.prefix == self.prefix and os.path.exists(str(path))
@@ -228,10 +212,13 @@ class Store:
         """Add the item that ``fill(tmp)`` creates at *path*.
 
         *fill* makes a file or a directory tree at the fresh name *tmp*
-        under the prefix; the item is made read-only there and renamed
-        into place under the store lock.  An item already present counts
-        as success, so concurrent writers of one item all succeed and
-        ``writes`` counts it once.
+        under the prefix; it is made read-only and published, a file by
+        ``link(2)`` and a directory by ``rename(2)``.  Neither replaces a
+        file or a non-empty directory, so the first writer wins and no
+        reader sees a missing or partial item (the store needs hard
+        links).  A loser fails with *path* present, which is success;
+        only the winner adds to ``writes``, but ``rename`` may replace
+        an identical empty directory, counting that race twice.
         """
         dest = str(path)
         if os.path.exists(dest):
@@ -240,10 +227,12 @@ class Store:
         try:
             fill(tmp)
             _make_tree_read_only(tmp)
-            with self._locked():
+            try:
+                (os.rename if os.path.isdir(tmp) else os.link)(tmp, dest)
+                self.writes += 1
+            except OSError:
                 if not os.path.exists(dest):
-                    os.rename(tmp, dest)
-                    self.writes += 1
+                    raise
         finally:
             if os.path.lexists(tmp):
                 rmtree_rw(tmp)

@@ -13,6 +13,7 @@ from gexpkit import builder
 from gexpkit import (BuildError, Derivation, EvalEnv, Package, Store, build,
                      gexp_to_derivation, mini_eval, output_path, plan, read,
                      read_all, stage, write_derivation)
+from gexpkit.modules import ModuleError, source_module_closure
 
 from conftest import FIXTURE_DIR
 from strategies import builder_programs
@@ -176,6 +177,37 @@ class TestMiniEval:
         env = EvalEnv(base_dir=str(tmp_path), module_path=("mods",))
         with pytest.raises(BuildError, match=r"\(demo bad\)"):
             mini_eval(read_all("(use-modules (demo bad))"), env)
+
+    @staticmethod
+    def write_modules(root, modules):
+        """Write modules ``(p <name>)`` from {name: (imports, body)}."""
+        (root / "p").mkdir(parents=True)
+        for name, (imports, body) in modules.items():
+            header = "".join(f" #:use-module (p {i})" for i in imports)
+            (root / "p" / f"{name}.scm").write_text(
+                f"(define-module (p {name}){header})\n{body}\n")
+
+    def test_imports_run_first_and_cycles_are_tolerated(self, tmp_path):
+        self.write_modules(tmp_path, {
+            "a": (["b"], '(define x (string-append y "a"))'),
+            "b": (["a", "c"], '(define y (string-append z "b"))'),
+            "c": ([], '(define z "c")')})
+        env = EvalEnv(module_path=(str(tmp_path),))
+        assert mini_eval(read_all("(use-modules (p a)) x"), env) == "cba"
+
+    def test_missing_module_deep_in_a_chain_is_named(self, tmp_path):
+        self.write_modules(tmp_path, {"a": (["b"], ""), "b": (["gone"], "")})
+        with pytest.raises(BuildError, match=r"cannot load module \(p gone\)"):
+            ev("(use-modules (p a))", module_path=(str(tmp_path),))
+
+    def test_host_cycle_names_the_chain_from_the_root(self, tmp_path):
+        self.write_modules(tmp_path, {
+            "r": (["a"], ""), "a": (["b"], ""), "b": (["c", "a"], ""),
+            "c": ([], "")})
+        with pytest.raises(ModuleError) as info:
+            source_module_closure([read("(p r)")], [str(tmp_path)])
+        assert str(info.value) == (
+            "cyclic module imports: (p r) -> (p a) -> (p b) -> (p a)")
 
     def test_non_tail_recursion_up_to_the_depth_cap(self):
         # (down n) leaves n calls of down pending at its deepest.

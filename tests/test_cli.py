@@ -255,6 +255,40 @@ class TestFailureModes:
         assert len(err.splitlines()) == 2001
         assert all(line.startswith("cached ") for line in err.splitlines())
 
+    def test_long_file_append_chain_builds(self, capsys, scratch):
+        assert sys.getrecursionlimit() == 1000
+        forms = ['(define a0 (plain-file "base" "hello"))']
+        forms += [f'(define a{i} (file-append a{i - 1} "/x"))'
+                  for i in range(1, 2000)]
+        deploy = scratch / "appends.scm"
+        deploy.write_text("\n".join([*forms, "#~(write-file #$output #$a1999)"]))
+        code, out, err = run(capsys, "build", str(deploy))
+        assert code == 0, err[-300:]
+        base = str(next(Path("store").glob("*-base")))
+        output = Path(out.strip().split("\t")[1])
+        assert output.read_text() == "./" + base + "/x" * 1999
+
+    def test_long_module_import_chain_builds(self, capsys, scratch):
+        # Each module's value extends the one it imports, so the output
+        # also shows that every import ran before its importer.
+        assert sys.getrecursionlimit() == 1000
+        (scratch / "mods" / "m").mkdir(parents=True)
+        for i in range(1200):
+            header = f"(define-module (m m{i}) #:use-module (m m{i + 1}))"
+            body = f'(define v{i} (string-append v{i + 1} "."))'
+            if i == 1199:
+                header, body = "(define-module (m m1199))", '(define v1199 "")'
+            (scratch / "mods" / "m" / f"m{i}.scm").write_text(
+                header + "\n" + body + "\n")
+        deploy = scratch / "imports.scm"
+        deploy.write_text("(with-imported-modules '((m m0))\n"
+                          "  #~(begin (use-modules (m m0))"
+                          " (write-file #$output v0)))\n")
+        code, out, err = run(capsys, "build", str(deploy),
+                             "--module-path", "mods")
+        assert code == 0, err[-300:]
+        assert Path(out.strip().split("\t")[1]).read_text() == "." * 1199
+
     @pytest.mark.parametrize("call, message", [
         ("(car)", "car: expected 1 arguments, got 0"),
         ("(cons 1)", "cons: expected 2 arguments, got 1"),

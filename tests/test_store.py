@@ -1,9 +1,13 @@
 import hashlib
+import json
 import os
 import random
 import stat
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -160,6 +164,117 @@ class TestInterning:
             paths = list(pool.map(
                 lambda i: str(store.intern_file(b"%d" % i, "r")), range(8)))
         assert len(set(paths)) == 8
+
+
+def intern_item(store, content: bytes, is_dir: bool):
+    """A file, or a non-empty directory, holding *content*, interned."""
+    if is_dir:
+        return store.intern_dir({"sub/x": content}, "tree")
+    return store.intern_file(content, "f")
+
+
+def fill_with(content: bytes, is_dir: bool):
+    """A `Store.commit` fill making what `intern_item` interns."""
+    def fill(tmp):
+        if is_dir:
+            os.makedirs(os.path.join(tmp, "sub"))
+            tmp = os.path.join(tmp, "sub", "x")
+        Path(tmp).write_bytes(content)
+    return fill
+
+
+class TestLockFreeCommit:
+    """`commit` publishes with link(2) and rename(2): the first writer
+    wins, a loser counts as success, and any other failure propagates."""
+
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["file", "dir"])
+    def test_losing_writer_returns_the_path_and_keeps_the_first(self, store,
+                                                                 is_dir):
+        path = replace(intern_item(Store("./elsewhere"), b"first", is_dir),
+                       prefix=store.prefix)
+
+        def fill(tmp):
+            # Another writer publishes the item while this one fills.
+            assert intern_item(store, b"first", is_dir) == path
+            fill_with(b"second", is_dir)(tmp)
+
+        assert store.commit(path, fill) == path
+        assert store.writes == 1
+        item = path.fs / "sub" / "x" if is_dir else path.fs
+        assert item.read_bytes() == b"first"
+        assert os.listdir(store.prefix) == [path.fs.name]
+
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["file", "dir"])
+    def test_other_publish_failures_propagate(self, store, monkeypatch,
+                                              is_dir):
+        def refuse(*_args):
+            raise PermissionError("publish refused")
+
+        monkeypatch.setattr(os, "link", refuse)
+        monkeypatch.setattr(os, "rename", refuse)
+        with pytest.raises(PermissionError, match="publish refused"):
+            intern_item(store, b"x", is_dir)
+        assert os.listdir(store.prefix) == []
+        assert store.writes == 0
+
+    def test_threads_racing_on_an_empty_directory(self, store):
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            paths = set(pool.map(
+                lambda _: str(store.intern_dir({}, "empty")), range(16)))
+        assert len(paths) == 1
+        (path,) = paths
+        assert os.listdir(path) == []
+        assert os.path.isdir(path)
+        assert not os.stat(path).st_mode & stat.S_IWUSR
+        assert os.listdir(store.prefix) == [os.path.basename(path)]
+
+
+RACER = """\
+import json, sys
+from gexpkit import Store
+store = Store(sys.argv[1])
+sys.stdin.readline()
+paths = [store.intern_file(b"item %d" % i, "f%d" % i) for i in range(40)]
+paths.append(store.intern_dir({"a/x": b"1", "b/y": b"2"}, "tree"))
+print(json.dumps({"paths": [str(p) for p in paths], "writes": store.writes}))
+"""
+
+
+def test_four_processes_race_on_one_store(scratch):
+    """Four interpreters, released together, intern the same 41 items
+    into one empty store: each gets every path, and each item is
+    written exactly once."""
+    src = str(Path(gexpkit.store.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    os.mkdir("store")
+    children = []
+    try:
+        for _ in range(4):
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", RACER, "./store"], env=env, text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE))
+        for child in children:
+            child.stdin.write("go\n")
+            child.stdin.flush()
+        results = [child.communicate(timeout=60) for child in children]
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+    for child, (_, err) in zip(children, results):
+        assert child.returncode == 0, err
+    reports = [json.loads(out) for out, _ in results]
+    paths = reports[0]["paths"]
+    assert all(report["paths"] == paths for report in reports)
+    listing = os.listdir("store")
+    assert not [name for name in listing if name.startswith(".tmp-")]
+    assert sorted(name for name in listing if not name.startswith(".")) == \
+        sorted(os.path.basename(p) for p in paths)
+    assert len(set(paths)) == 41
+    assert sum(report["writes"] for report in reports) == 41
 
 
 class TestDerivations:
