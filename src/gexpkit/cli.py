@@ -22,27 +22,29 @@ Warm builds and traces: after ``lower`` or ``build`` lowers a
 deployment, it writes a trace beside the store, in
 ``<store prefix>.traces/``, named by the SHA-256 of its key: the
 resolved deployment path, the store prefix as given, ``--name``,
-``--system``, ``--target`` and the module search path.  The trace's
-first line is the SHA-256 of the rest, which holds the key, a digest of
-gexpkit's own sources, every host file lowering read (the SHA-256 of
-the deployment, of each ``local-file`` and of each module file, and
-each module candidate found absent), and the build plan: the root's
-closure in the order lowering wrote it (dependencies first, each
-package's inputs in the order its gexp names them, the root last), each
-member as its ``.drv`` path, builder, sources and outputs.  A later
-``lower`` or ``build`` with the same key
-re-hashes those files; if all match and every ``.drv``, builder and
-source of the plan is still in the store, it skips reading, staging and
-lowering, and `store.build` reads a ``.drv`` only for a member whose
-outputs are missing.  Anything else (no trace, an unreadable, corrupt
-or altered one, a mismatch, a missing store item) lowers as if there
-were no trace.  Delete the traces directory to force a re-lower.
+``--system``, ``--target`` and the module search path, as a JSON list.
+The trace's first line is the SHA-256 of the rest, one JSON array:
+the key, a digest of gexpkit's own sources, the host files lowering
+read (each path mapped to its SHA-256: the deployment, each
+``local-file`` and each module file; null for a module candidate found
+absent), and the build plan: the root's closure in the order lowering
+wrote it (dependencies first, each package's inputs in the order its
+gexp names them, the root last), each member as ``[drv, builder,
+[sources...], {output: path}]``.  A later ``lower`` or ``build`` with
+the same key re-hashes those files; if all match and every ``.drv``,
+builder and source of the plan is still in the store, it skips
+reading, staging and lowering, and `store.build` reads a ``.drv`` only
+for a member whose outputs are missing.  Anything else (no trace, an
+unreadable, corrupt or altered one, a mismatch, a missing store item)
+lowers as if there were no trace.  Delete the traces directory to force
+a re-lower.
 
 Start-up: each command imports only the tiers it runs.  This module
-loads ``store`` and ``sexp``; ``lower`` and ``build`` import the host
-tier (``gexp``, ``lowerable``, ``modules``) only on a trace miss, and
-`store.build` imports the evaluator (``builder``) only when some
-derivation's outputs are missing.  ``show`` and ``add`` need neither.
+loads ``store``, ``sexp`` and ``json``; ``lower`` and ``build`` import
+the host tier (``gexp``, ``lowerable``, ``modules``) only on a trace
+miss, and `store.build` imports the evaluator (``builder``) only when
+some derivation's outputs are missing.  ``show`` and ``add`` need
+neither.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
-                   print_canonical, read, slist)
+from .sexp import ParseError
 from .store import (DEFAULT_SYSTEM, BuildError, Store, StoreError,
                     _parse_derivation, build, validate_store_name)
 
@@ -97,16 +99,16 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _file_digest(path: str) -> Sexp:
-    """What lowering records for reading *path* now: ``#f`` when no
+def _file_digest(path: str) -> Optional[str]:
+    """What lowering records for reading *path* now: None when no
     regular file is there, else the SHA-256 of its bytes."""
     if not os.path.isfile(path):
-        return Boolean(False)
+        return None
     with open(path, "rb") as fh:
-        return String(hashlib.sha256(fh.read()).hexdigest())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _traced_plan(trace_file: Path, key: SList) -> Optional[list]:
+def _traced_plan(trace_file: Path, key: list) -> Optional[list]:
     """The build plan the trace at *trace_file* records for *key*, if
     its checksum holds, the gexpkit sources and every file lowering read
     hash as they did, and every ``.drv``, builder and source of the plan
@@ -115,46 +117,34 @@ def _traced_plan(trace_file: Path, key: SList) -> Optional[list]:
         checksum, _, data = trace_file.read_bytes().partition(b"\n")
         if checksum != hashlib.sha256(data).hexdigest().encode():
             return None
-        trace = read(data.decode("utf-8", "surrogatepass"))
-        items = trace.items if isinstance(trace, SList) else ()
-        if items[:3] != (Symbol("trace"), key, String(_source_digest())):
+        traced_key, source_digest, reads, plan = json.loads(data)
+        if (traced_key, source_digest) != (key, _source_digest()):
             return None
         # The checksum and the source digest hold, so this code wrote
         # the rest as `_write_trace` lays it out.
-        for path, digest in (entry.items for entry in items[3].items):
-            if _file_digest(path.value) != digest:
+        if any(_file_digest(path) != digest for path, digest in reads.items()):
+            return None
+        for drv, builder, sources, _outputs in plan:
+            if not all(map(os.path.exists, (drv, builder, *sources))):
                 return None
-        steps = []
-        for member in items[4].items:
-            drv, builder, sources, *outputs = member.items
-            if not all(os.path.exists(item.value)
-                       for item in (drv, builder, *sources.items)):
-                return None
-            steps.append((drv.value, {out.items[0].value: out.items[1].value
-                                      for out in outputs}))
-    except (OSError, UnicodeDecodeError, ParseError):
+    except (OSError, ValueError, TypeError, RecursionError):
         return None
-    return steps
+    return [(drv, outputs) for drv, _builder, _sources, outputs in plan]
 
 
-def _write_trace(trace_file: Path, key: SList, reads: dict,
+def _write_trace(trace_file: Path, key: list, reads: dict,
                  closure: list) -> None:
     """Write the trace of one lowering in one rename: its checksum line,
-    then the key, the source digest, the reads and the build plan of
-    *closure*, each member as its ``.drv`` path, builder, sources and
-    ``(output-name path)`` pairs.  A failure to write it is ignored."""
+    then a JSON array of the key, the source digest, the reads and the
+    build plan of *closure*, each member as its ``.drv`` path, builder,
+    sources and ``{output-name: path}``.  A failure to write it is
+    ignored."""
     tmp = trace_file.with_name(f".tmp-{os.urandom(8).hex()}")
+    data = json.dumps([key, _source_digest(), reads, [
+        [str(path), str(drv.builder), [str(s) for s in drv.input_sources],
+         {out: str(out_path) for out, out_path in drv.outputs.items()}]
+        for path, drv in closure]]).encode()
     try:
-        data = print_canonical(slist(
-            Symbol("trace"), key, String(_source_digest()),
-            slist(*(slist(String(path), Boolean(False) if digest is None
-                          else String(digest))
-                    for path, digest in reads.items())),
-            slist(*(slist(String(str(path)), String(str(drv.builder)),
-                          slist(*(String(str(s)) for s in drv.input_sources)),
-                          *(slist(String(str(out)), String(str(out_path)))
-                            for out, out_path in drv.outputs.items()))
-                    for path, drv in closure)))).encode("utf-8", "surrogatepass")
         trace_file.parent.mkdir(exist_ok=True)
         tmp.write_bytes(hashlib.sha256(data).hexdigest().encode() + b"\n" + data)
         # Renaming over a file can make the file system flush the new
@@ -173,11 +163,10 @@ def _lower_args(args):
     traced; a lowering's plan is the order it wrote the closure in."""
     store = Store(args.store, _module_path(args))
     source = Path(args.file)
-    key = slist(*(Boolean(False) if v is None else String(v) for v in (
-        os.path.realpath(source), store.prefix, args.name, args.system,
-        args.target)), slist(*map(String, store.module_path)))
+    key = [os.path.realpath(source), store.prefix, args.name, args.system,
+           args.target, list(store.module_path)]
     trace_file = Path(store.prefix + ".traces") / hashlib.sha256(
-        print_canonical(key).encode("utf-8", "surrogatepass")).hexdigest()
+        json.dumps(key).encode()).hexdigest()
     steps = _traced_plan(trace_file, key)
     if steps is not None:
         return store, steps

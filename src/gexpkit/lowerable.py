@@ -409,11 +409,14 @@ def _parse_package(form: SList, env: HostEnv) -> Package:
 
 def load_deployment(path: Path, lowering: Lowering) -> Gexp:
     """Read a deployment file and evaluate it to a gexp; the files read
-    go into ``lowering.reads``."""
+    go into ``lowering.reads``, this one under its resolved path, as the
+    CLI's trace key holds it."""
+    reads: dict = {}
     try:
-        forms = read_all(read_source(path, lowering.reads))
+        forms = read_all(read_source(path, reads))
     except UnicodeDecodeError as exc:
         raise StagingError(f"{path}: not UTF-8 text: {exc}") from None
+    lowering.reads[os.path.realpath(path)] = reads[str(path)]
     if not forms:
         raise StagingError(f"{path}: empty deployment file")
     bindings = _base_bindings(path.resolve().parent, lowering)

@@ -183,8 +183,9 @@ def traced_build(tmp_path_factory):
     assert code == 0, err
     [trace] = (directory / "store.traces").iterdir()
     data = trace.read_bytes()
-    # Only the plan's (output-name path) pairs hold a store path second.
-    pairs = re.finditer(rb'\("([^"]+)" "(%s/[^"]+)"\)'
+    # Only the plan's {output-name: path} members map a name to a store
+    # path; the files read map to digests or null.
+    pairs = re.finditer(rb'"([^"]+)": "(%s/[^"]+)"'
                         % re.escape(str(directory / "store").encode()), data)
     spans = [pair.span(group) for pair in pairs for group in (1, 2)]
     assert len(spans) == 4

@@ -6,6 +6,9 @@ fresh store prints; a hit must call neither ``load_deployment`` nor
 ``lower_gexp``.
 """
 
+import hashlib
+import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 
 from gexpkit import cli, lowerable, store
 from gexpkit.cli import main
+from gexpkit.sexp import Boolean, String, Symbol, print_canonical, slist
 
 from conftest import FIXTURE_DIR
 
@@ -316,10 +320,84 @@ def test_edited_trace_is_a_miss(chain, capsys, monkeypatch):
     first = run(capsys, chain)
     [trace] = Path("store.traces").iterdir()
     data = trace.read_bytes()
-    assert data.count(b'("out" "') == 4
+    assert data.count(b'"out": "') == 4
     trace.unlink()
-    trace.write_bytes(data.replace(b'("out" "', b'("nut" "'))
+    trace.write_bytes(data.replace(b'"out": "', b'"nut": "'))
     spy = Spy(monkeypatch)
     assert run(capsys, chain) == first
     assert spy.lowered
     assert trace.read_bytes() == data
+
+
+def sexp_layout(body: bytes) -> bytes:
+    """The JSON trace *body* in the s-expression layout of earlier
+    gexpkit: ``(trace KEY DIGEST ((path digest) ...) ((drv builder
+    (source ...) (output path) ...) ...))``, ``#f`` for None."""
+    key, digest, reads, plan = json.loads(body)
+
+    def atom(value):
+        return Boolean(False) if value is None else String(value)
+
+    return print_canonical(slist(
+        Symbol("trace"),
+        slist(*map(atom, key[:-1]), slist(*map(String, key[-1]))),
+        String(digest),
+        slist(*(slist(String(path), atom(d)) for path, d in reads.items())),
+        slist(*(slist(String(drv), String(builder), slist(*map(String, sources)),
+                      *(slist(String(out), String(path))
+                        for out, path in outputs.items()))
+                for drv, builder, sources, outputs in plan)))).encode()
+
+
+@pytest.mark.parametrize("layout", [sexp_layout, lambda _: b"5",
+                                    lambda _: b"{}", lambda _: b"[]",
+                                    lambda _: b"[" * 100_000],
+                         ids=["sexp", "number", "object", "empty-array",
+                              "deep-array"])
+def test_other_layouts_miss(layout, chain, capsys, monkeypatch):
+    first = run(capsys, chain)
+    [trace] = Path("store.traces").iterdir()
+    data = trace.read_bytes()
+    body = layout(data.partition(b"\n")[2])
+    trace.unlink()
+    trace.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    spy = Spy(monkeypatch)
+    code = main(chain)
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, first)
+    assert "Traceback" not in err
+    assert spy.lowered
+    assert trace.read_bytes() == data
+
+
+def test_same_file_from_another_directory(work, scratch, capsys, monkeypatch):
+    # The trace key holds the resolved deployment path; from b/,
+    # ../work/deploy.scm is work/deploy.scm, not b/deploy.scm.
+    argv = ["build", "deploy.scm", "--store", str(scratch / "store")]
+    monkeypatch.chdir(work)
+    first = run(capsys, argv)
+    (scratch / "b").mkdir()
+    shutil.copy(work / "deploy.scm", scratch / "b")
+    change_deployment(work, argv, monkeypatch)
+    monkeypatch.chdir(scratch / "b")
+    spy = Spy(monkeypatch)
+    out = run(capsys, ["build", "../work/deploy.scm", *argv[2:]])
+    assert spy.lowered
+    assert out != first
+    assert (Path(out.split("\t")[1].strip()) / "v").read_text() == "2"
+
+
+def test_non_utf8_paths_hit(scratch, capsys, monkeypatch):
+    monkeypatch.delenv("GEXP_STORE_DIR", raising=False)
+    monkeypatch.delenv("GEXP_MODULE_PATH", raising=False)
+    directory = scratch / os.fsdecode(b"d\xff")
+    directory.mkdir()
+    (directory / "deploy.scm").write_text(
+        '(define image (local-file "image.png"))\n'
+        '#~(copy-file #$image #$output)\n')
+    (directory / "image.png").write_bytes(b"mock-png:1\n")
+    argv = ["build", str(directory / "deploy.scm")]
+    first = run(capsys, argv)
+    spy = Spy(monkeypatch)
+    assert run(capsys, argv) == first
+    assert spy.skipped
