@@ -201,7 +201,7 @@ def _check_str(value, op: str) -> str:
 
 (_LOAD, _CONST, _CALL, _TAILCALL, _JUMP_IF_FALSE, _RETURN, _POP, _JUMP,
  _DEFINE, _BIND, _CLOSURE, _LOOP, _ENTER, _FRAME, _LEAVE, _MODULES,
- _FAIL) = range(17)
+ _NEXT_MODULE, _FAIL) = range(18)
 
 
 def _bindings(form, what):
@@ -216,11 +216,15 @@ def _bindings(form, what):
     return pairs
 
 
-def _compile_body(forms) -> list:
+def _compile_body(forms, tail=True) -> list:
     """The code of a procedure body or a program: *forms* in sequence,
-    the last in tail position."""
+    the last in tail position.  Not *tail*, the code of a module body:
+    each form's value is popped, then it returns."""
     compiler = _Compiler()
-    compiler.sequence(forms, True)
+    compiler.sequence(forms, tail)
+    if not tail:
+        compiler.emit(_POP)
+        compiler.emit(_RETURN)
     return compiler.code
 
 
@@ -378,7 +382,8 @@ class _Compiler:
                 names.append((ModuleName.from_sexp(form), None))
             except ModuleError as exc:
                 names.append((None, str(exc)))
-        self.value(_MODULES, tuple(names), tail)
+        self.emit(_MODULES, tuple(names))
+        self.value(_NEXT_MODULE, None, tail)
 
 
 _SPECIAL = {
@@ -400,7 +405,6 @@ _SPECIAL = {
 class _Evaluator:
     def __init__(self, env: EvalEnv):
         self.env = env
-        self.steps = 0
         self.loaded_modules: set = set()
         self.globals = _Frame(dict(_PRIMITIVES), None)
 
@@ -410,147 +414,150 @@ class _Evaluator:
         Operands and results live on *stack*.  A non-tail call of a
         closure saves the caller's (code, pc, frame) on *control*; a tail
         call saves nothing, so host recursion never grows with the
-        program's call depth.
+        program's call depth.  A module body runs as a call, too.
         """
         env = self.env
         budget = env.step_budget
-        steps = self.steps
+        steps = 0
         stack: list = []
         push = stack.append
         control: list = []
         pc = 0
-        try:
-            while True:
-                op, weight, a = code[pc]
-                pc += 1
-                if weight:
-                    steps += weight
-                    if steps > budget:
-                        raise BuildError(
-                            f"step budget exceeded ({budget} steps)")
-                if op == _LOAD:
-                    scope = frame
+        while True:
+            op, weight, a = code[pc]
+            pc += 1
+            if weight:
+                steps += weight
+                if steps > budget:
+                    raise BuildError(
+                        f"step budget exceeded ({budget} steps)")
+            if op == _LOAD:
+                scope = frame
+                bound = scope.vars
+                while a not in bound:
+                    scope = scope.parent
+                    if scope is None:
+                        raise BuildError(f"unbound variable: {a}")
                     bound = scope.vars
-                    while a not in bound:
-                        scope = scope.parent
-                        if scope is None:
-                            raise BuildError(f"unbound variable: {a}")
-                        bound = scope.vars
-                    value = bound[a]
-                    if value is _UNASSIGNED:
+                value = bound[a]
+                if value is _UNASSIGNED:
+                    raise BuildError(
+                        f"variable used before initialization: {a}")
+                push(value)
+            elif op == _CONST:
+                push(a)
+            elif op == _CALL or op == _TAILCALL:
+                # The operands are stack[-a:], the procedure is below
+                # them.  One and two operands are spelled out: that is
+                # several times cheaper than zip() or a *-call.
+                fn = stack[-a - 1]
+                if type(fn) is _Closure:
+                    params = fn.params
+                    if len(params) != a:
                         raise BuildError(
-                            f"variable used before initialization: {a}")
-                    push(value)
-                elif op == _CONST:
-                    push(a)
-                elif op == _CALL or op == _TAILCALL:
-                    # The operands are stack[-a:], the procedure is below
-                    # them.  One and two operands are spelled out: that is
-                    # several times cheaper than zip() or a *-call.
-                    fn = stack[-a - 1]
-                    if type(fn) is _Closure:
-                        params = fn.params
-                        if len(params) != a:
-                            raise BuildError(
-                                f"{fn.name}: expected {len(params)} "
-                                f"arguments, got {a}")
-                        if a == 1:
-                            bound = {params[0]: stack[-1]}
-                        elif a == 2:
-                            bound = {params[0]: stack[-2], params[1]: stack[-1]}
-                        else:
-                            bound = dict(zip(params, stack[len(stack) - a:]))
-                        del stack[-a - 1:]
-                        if op == _CALL:
-                            control.append((code, pc, frame))
-                            if len(control) > MAX_CALL_DEPTH:
-                                raise BuildError(
-                                    "recursion too deep: more than "
-                                    f"{MAX_CALL_DEPTH} nested calls")
-                        code, pc, frame = fn.code, 0, _Frame(bound, fn.frame)
-                        continue
-                    if type(fn) is not _Primitive:
-                        raise BuildError(f"not a procedure: {_display(fn)}")
-                    if not fn.lo <= a <= fn.hi:
-                        raise BuildError(
-                            _arity_message(fn.name, fn.lo, fn.hi, a))
+                            f"{fn.name}: expected {len(params)} "
+                            f"arguments, got {a}")
                     if a == 1:
-                        value = fn.fn(env, stack[-1])
+                        bound = {params[0]: stack[-1]}
                     elif a == 2:
-                        value = fn.fn(env, stack[-2], stack[-1])
+                        bound = {params[0]: stack[-2], params[1]: stack[-1]}
                     else:
-                        value = fn.fn(env, *stack[len(stack) - a:])
+                        bound = dict(zip(params, stack[len(stack) - a:]))
                     del stack[-a - 1:]
                     if op == _CALL:
-                        push(value)
-                    elif control:
-                        push(value)
-                        code, pc, frame = control.pop()
-                    else:
-                        return value
-                elif op == _JUMP_IF_FALSE:
-                    if stack.pop() is False:
-                        pc = a
-                elif op == _RETURN:
-                    if not control:
-                        return stack.pop()
-                    code, pc, frame = control.pop()
-                elif op == _POP:
-                    del stack[-1]
-                elif op == _JUMP:
-                    pc = a
-                elif op == _DEFINE:
-                    frame.vars[a] = stack[-1]
-                    stack[-1] = None
-                elif op == _BIND:
-                    frame.vars[a] = stack.pop()
-                elif op == _CLOSURE:
-                    push(_Closure(a[0], a[1], frame, a[2]))
-                elif op == _LOOP:
-                    # a named let's procedure, bound in a frame of its own
-                    params, body, name = a
-                    scope = _Frame({}, frame)
-                    scope.vars[name] = loop = _Closure(params, body, scope, name)
-                    push(loop)
-                elif op == _ENTER:
-                    base = len(stack) - len(a)
-                    frame = _Frame(dict(zip(a, stack[base:])), frame)
-                    del stack[base:]
-                elif op == _FRAME:
-                    frame = _Frame(dict.fromkeys(a, _UNASSIGNED), frame)
-                elif op == _LEAVE:
-                    frame = frame.parent
-                elif op == _MODULES:
-                    self.steps = steps
-                    for name, error in a:
-                        if error is not None:
-                            raise BuildError(error)
-                        self._load_module(name)
-                    steps = self.steps
-                    push(None)
+                        control.append((code, pc, frame))
+                        if len(control) > MAX_CALL_DEPTH:
+                            raise BuildError(
+                                "recursion too deep: more than "
+                                f"{MAX_CALL_DEPTH} nested calls")
+                    code, pc, frame = fn.code, 0, _Frame(bound, fn.frame)
+                    continue
+                if type(fn) is not _Primitive:
+                    raise BuildError(f"not a procedure: {_display(fn)}")
+                if not fn.lo <= a <= fn.hi:
+                    raise BuildError(
+                        _arity_message(fn.name, fn.lo, fn.hi, a))
+                if a == 1:
+                    value = fn.fn(env, stack[-1])
+                elif a == 2:
+                    value = fn.fn(env, stack[-2], stack[-1])
                 else:
-                    raise BuildError(a)
-        finally:
-            self.steps = steps
-
-    def _load_module(self, name: ModuleName) -> None:
-        # Imports run first; a module counts as loaded once entered.
-        search_path = [_resolve(self.env, d) for d in self.env.module_path]
-        stack = [(None, iter((name,)))]
-        while stack:
-            for name in stack[-1][1]:
-                if name not in self.loaded_modules:
-                    self.loaded_modules.add(name)
-                    try:
-                        module = load_module(name, search_path)
-                    except (ModuleError, ParseError, OSError) as exc:
-                        raise BuildError(f"cannot load module {name}: {exc}") from exc
-                    stack.append((module, iter(module.imports)))
-                    break
+                    value = fn.fn(env, *stack[len(stack) - a:])
+                del stack[-a - 1:]
+                if op == _CALL:
+                    push(value)
+                elif control:
+                    push(value)
+                    code, pc, frame = control.pop()
+                else:
+                    return value
+            elif op == _JUMP_IF_FALSE:
+                if stack.pop() is False:
+                    pc = a
+            elif op == _RETURN:
+                if not control:
+                    return stack.pop()
+                code, pc, frame = control.pop()
+            elif op == _POP:
+                del stack[-1]
+            elif op == _JUMP:
+                pc = a
+            elif op == _DEFINE:
+                frame.vars[a] = stack[-1]
+                stack[-1] = None
+            elif op == _BIND:
+                frame.vars[a] = stack.pop()
+            elif op == _CLOSURE:
+                push(_Closure(a[0], a[1], frame, a[2]))
+            elif op == _LOOP:
+                # a named let's procedure, bound in a frame of its own
+                params, body, name = a
+                scope = _Frame({}, frame)
+                scope.vars[name] = loop = _Closure(params, body, scope, name)
+                push(loop)
+            elif op == _ENTER:
+                base = len(stack) - len(a)
+                frame = _Frame(dict(zip(a, stack[base:])), frame)
+                del stack[base:]
+            elif op == _FRAME:
+                frame = _Frame(dict.fromkeys(a, _UNASSIGNED), frame)
+            elif op == _LEAVE:
+                frame = frame.parent
+            elif op == _MODULES:
+                push(self._load_modules(a))
+            elif op == _NEXT_MODULE:  # enter the next module body, if any
+                body = next(stack[-1], None)
+                if body is None:
+                    stack[-1] = None
+                else:
+                    control.append((code, pc - 1, frame))
+                    code, pc, frame = body, 0, self.globals
             else:
-                module = stack.pop()[0]
-                if module is not None:
-                    self.run(_compile_body(module.source[1:]), self.globals)
+                raise BuildError(a)
+
+    def _load_modules(self, names):
+        """The code of each module body a use-modules of *names* runs,
+        lazily in run order: imports first, and a module counts as
+        loaded once entered."""
+        search_path = [_resolve(self.env, d) for d in self.env.module_path]
+        for root, error in names:
+            if error is not None:
+                raise BuildError(error)
+            stack = [(None, iter((root,)))]
+            while stack:
+                for name in stack[-1][1]:
+                    if name not in self.loaded_modules:
+                        self.loaded_modules.add(name)
+                        try:
+                            module = load_module(name, search_path)
+                        except (ModuleError, ParseError, OSError) as exc:
+                            raise BuildError(f"cannot load module {name}: {exc}") from exc
+                        stack.append((module, iter(module.imports)))
+                        break
+                else:
+                    module = stack.pop()[0]
+                    if module is not None:
+                        yield _compile_body(module.source[1:], False)
 
 
 def _resolve(env: EvalEnv, path: str) -> str:
@@ -698,8 +705,8 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
     try:
         return evaluator.run(_compile_body(forms), evaluator.globals)
     except RecursionError:
-        # The compiler, use-modules in module bodies and the printing of
-        # nested lists recurse on the host stack; program calls never do.
+        # The compiler and the printing of nested lists recurse on the
+        # host stack; program calls and module loading never do.
         raise BuildError("recursion limit exceeded in builder program") from None
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from .gexp import (Gexp, HostEnv, StagingError, _head_name, eval_host,
-                   gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp)
+                   gexp_modules, gexp_outputs, gexp_to_sexp)
 from .modules import (intern_module_closure, read_source,
                       source_module_closure)
 from .sexp import SList, String, Symbol, print_canonical, read_all
@@ -124,12 +124,9 @@ def register_compiler(compiler: GexpCompiler) -> None:
 
 
 def _compiler(obj) -> GexpCompiler:
-    compiler = _COMPILERS.get(type(obj))
-    if compiler is not None:
-        return compiler
-    for compiler in _COMPILERS.values():
-        if isinstance(obj, compiler.type_tag):
-            return compiler
+    for cls in type(obj).__mro__:
+        if cls in _COMPILERS:
+            return _COMPILERS[cls]
     raise LoweringError(f"no compiler registered for {type(obj).__name__}")
 
 
@@ -141,10 +138,10 @@ class Lowering:
     holding the object keeps its id from being reused meanwhile.  Each
     derivation is written after its inputs, so ``written`` in order, with
     repeated paths dropped, is the build plan of what was lowered.  The
-    derivations themselves are memoized by the store, so a derivation's
-    inputs are checked without reading them back.  ``reads`` records
-    every host file the run read: it maps the path to the SHA-256 hex
-    of the bytes read, or to None for a module candidate found absent."""
+    store memoizes the derivations, so their inputs are checked without
+    reading them back.  ``reads`` maps the path of every host file the
+    run read to the SHA-256 hex of its bytes, or to None for a module
+    candidate found absent."""
 
     def __init__(self, store: Store, system: str = DEFAULT_SYSTEM):
         self.store = store
@@ -152,6 +149,7 @@ class Lowering:
         self.lowered: dict = {}
         self.written: dict = {}
         self.reads: dict[str, Optional[str]] = {}
+        self._walking = False  # set while `lower_object` walks
 
     def write(self, d: Derivation,
               builder_text: Optional[str] = None) -> StorePath:
@@ -165,53 +163,48 @@ class Lowering:
         return hit[0]
 
 
+class _Need(BaseException):
+    """``(obj, target)``, asked for by a compiler and not lowered yet; not
+    an `Exception`, so a compiler's ``except Exception`` lets it pass."""
+
+
 def lower_object(obj, lowering: Lowering, target: Optional[str] = None):
     """Lower *obj* for *target*, memoized on *lowering*.
 
-    What an object needs (`_needs`) lowers before it, depth first in the
-    order it is named.  The walk keeps its own stack, so a dependency
-    chain is bounded by memory, not by recursion; an object met again
-    while it is still open raises `LoweringError` naming the cycle."""
+    One walk on its own stack runs the compilers.  Asked for inside it,
+    an object not yet lowered stops the asking compiler (`_Need`); the
+    walk lowers the object, then runs that compiler again.  A dependency
+    chain is bounded by memory, not by recursion, and a cycle is a
+    `LoweringError` naming it."""
     lowered = lowering.lowered
     key = (id(obj), target)
     if key in lowered:
         return lowered[key][0]
+    if lowering._walking:
+        raise _Need(obj, target)
     opened = {key: 0}  # (object id, target) -> its index in the stack
-    stack = [(obj, target, iter(_needs(obj, target)))]
-    while stack:
-        node, node_target, needs = stack[-1]
-        for dep, dep_target in needs:
-            dep_key = (id(dep), dep_target)
-            if dep_key in lowered:
-                continue
-            if dep_key in opened:
-                cycle = [n for n, _, _ in stack[opened[dep_key]:]] + [dep]
-                raise LoweringError(
-                    "dependency cycle: " + " -> ".join(map(repr, cycle)))
-            opened[dep_key] = len(stack)
-            stack.append((dep, dep_target, iter(_needs(dep, dep_target))))
-            break
-        else:
-            stack.pop()
-            lowered[(id(node), node_target)] = (
-                _compiler(node).lower(node, lowering, node_target), node)
+    stack = [(obj, target)]
+    lowering._walking = True
+    try:
+        while stack:
+            node, node_target = stack[-1]
+            try:
+                result = _compiler(node).lower(node, lowering, node_target)
+            except _Need as need:
+                dep, dep_target = need.args
+                dep_key = (id(dep), dep_target)
+                if dep_key in opened:
+                    cycle = [n for n, _ in stack[opened[dep_key]:]] + [dep]
+                    raise LoweringError("dependency cycle: " + " -> ".join(
+                        map(repr, cycle))) from None
+                opened[dep_key] = len(stack)
+                stack.append((dep, dep_target))
+            else:
+                stack.pop()
+                lowered[(id(node), node_target)] = (result, node)
+    finally:
+        lowering._walking = False
     return lowered[key][0]
-
-
-def _needs(obj, target: Optional[str]) -> list:
-    """The (object, target) pairs that lower before *obj* for *target*:
-    a package's gexp inputs and a file-append's base."""
-    if isinstance(obj, Package):
-        return _inputs(obj.build, target)
-    if isinstance(obj, FileAppend):
-        return [(obj.base, target)]
-    return []
-
-
-def _inputs(g: Gexp, target: Optional[str]) -> list:
-    """Each object *g* embeds, with its effective target (none under #+)."""
-    return [(ref.payload.obj, None if ref.native else target)
-            for ref in gexp_inputs(g)]
 
 
 def expand_object(obj, lowered) -> str:
@@ -237,10 +230,11 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
                target: Optional[str] = None) -> Derivation:
     """Lower *g* into a derivation named *name*.
 
-    Embedded objects lower under (system, target) honoring native
-    flags, the residual program is interned as ``<name>-builder``, each
-    referenced output gets an env entry mapping its name to its output
-    path, and the imported-module closure (if any), found on
+    Each embedded object lowers under (system, target) honoring native
+    flags as serialization reaches it, and becomes an input drv or
+    source.  The residual program is interned as ``<name>-builder``,
+    each referenced output gets an env entry mapping its name to its
+    output path, and the imported-module closure (if any), found on
     ``store.module_path``, is interned with its store path in env
     MODULE_PATH.  The derivation file is written before returning.
     """
@@ -249,24 +243,23 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
         validate_system(target)
     store, system = lowering.store, lowering.system
 
-    # Inputs lower first, so the resolver below only hits the memo.
-    drv_inputs: dict[str, tuple[StorePath, set]] = {}
+    drv_inputs: dict[str, StorePath] = {}
     source_inputs: dict[str, StorePath] = {}
-    for obj, obj_target in _inputs(g, target):
+
+    def resolve(obj, _system, obj_target):
         lowered = lower_object(obj, lowering, obj_target)
         if isinstance(lowered, Derivation):
             drv_path = lowering.write(lowered)
-            entry = drv_inputs.setdefault(str(drv_path), (drv_path, set()))
-            entry[1].add("out")
+            drv_inputs.setdefault(str(drv_path), drv_path)
         elif isinstance(lowered, StorePath):
             source_inputs.setdefault(str(lowered), lowered)
         else:
             raise LoweringError(
                 f"compiler returned {type(lowered).__name__}, "
                 f"expected a store path or derivation")
+        return String(expand_object(obj, lowered))
 
-    residual = gexp_to_sexp(g, system, target, lambda obj, _system, t: String(
-        expand_object(obj, lower_object(obj, lowering, t))))
+    residual = gexp_to_sexp(g, system, target, resolve)
     builder_text = print_canonical(residual)
     builder = store.intern_file(builder_text.encode("utf-8"), f"{name}-builder")
 
@@ -282,7 +275,7 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     out_names = tuple(gexp_outputs(g)) or ("out",)
     draft = Derivation(
         name=name, system=system, target=target, builder=builder,
-        input_drvs=tuple((p, tuple(sorted(ns))) for p, ns in drv_inputs.values()),
+        input_drvs=tuple((p, ("out",)) for p in drv_inputs.values()),
         input_sources=tuple(source_inputs.values()),
         outputs={n: "" for n in out_names},
         env={**env, **{n: "" for n in out_names}})

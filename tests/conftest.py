@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gexpkit.lowerable
 from gexpkit import Store
 from gexpkit.cli import main
 
@@ -60,6 +61,13 @@ def run_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def compilers(monkeypatch):
+    """Compilers registered during the test are dropped after it."""
+    monkeypatch.setattr(gexpkit.lowerable, "_COMPILERS",
+                        dict(gexpkit.lowerable._COMPILERS))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+import sys
 import tempfile
 import threading
 from dataclasses import replace
@@ -194,6 +195,28 @@ class TestMiniEval:
             "c": ([], '(define z "c")')})
         env = EvalEnv(module_path=(str(tmp_path),))
         assert mini_eval(read_all("(use-modules (p a)) x"), env) == "cba"
+
+    def test_long_chain_of_body_level_imports(self, tmp_path):
+        # Each body, not its header, imports the next module; the chain
+        # is longer than the host's recursion limit allows to nest.
+        assert sys.getrecursionlimit() == 1000
+        self.write_modules(tmp_path, {
+            f"m{i}": ([], f"(use-modules (p m{i + 1})) (define v{i} {i})")
+            for i in range(1199)})
+        (tmp_path / "p" / "m1199.scm").write_text(
+            "(define-module (p m1199))\n(define v1199 1199)\n")
+        env = EvalEnv(module_path=(str(tmp_path),))
+        assert mini_eval(read_all("(use-modules (p m0)) (+ v0 v1199)"),
+                         env) == 1199
+
+    def test_body_level_imports_run_in_place(self, tmp_path):
+        # A body-level import runs where it stands; a module met again
+        # while it is loading counts as loaded.
+        self.write_modules(tmp_path, {
+            "a": ([], '(define x "a") (use-modules (p b)) (define x y)'),
+            "b": ([], '(use-modules (p a)) (define y (string-append x "b"))')})
+        env = EvalEnv(module_path=(str(tmp_path),))
+        assert mini_eval(read_all("(use-modules (p a)) x"), env) == "ab"
 
     def test_missing_module_deep_in_a_chain_is_named(self, tmp_path):
         self.write_modules(tmp_path, {"a": (["b"], ""), "b": (["gone"], "")})

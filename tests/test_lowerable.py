@@ -2,8 +2,9 @@ import builtins
 import gc
 import io
 import re
+import sys
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -12,7 +13,8 @@ import gexpkit.store
 from gexpkit import (Derivation, GexpCompiler, LocalFile, Lowering,
                      LoweringError, Package, PlainFile, StoreError, StorePath,
                      expand_object, file_append, gexp_to_derivation,
-                     lower_object, output_path, read, register_compiler, stage)
+                     lower_gexp, lower_object, output_path, read,
+                     register_compiler, stage)
 from gexpkit.lowerable import default_expansion
 
 
@@ -58,6 +60,22 @@ class TestRegistry:
 
         path = lower_object(FancyFile("f", b"x"), lowering)
         assert isinstance(path, StorePath)
+
+    def test_nearest_base_class_wins(self, lowering, compilers):
+        class A:
+            pass
+
+        class B(A):
+            pass
+
+        class C(B):
+            pass
+
+        for cls in (A, B):
+            register_compiler(GexpCompiler(
+                cls, lambda obj, lowering, target, tag=cls.__name__:
+                    lowering.store.intern_file(tag.encode(), "which")))
+        assert lower_object(C(), lowering).fs.read_bytes() == b"B"
 
 
 class TestFiles:
@@ -208,6 +226,80 @@ class TestLowering:
     def test_lowering_rejects_invalid_system(self, store):
         with pytest.raises(StoreError, match="invalid system tag"):
             Lowering(store, "not a system")
+
+
+@dataclass(eq=False)
+class Wrap:
+    """An object whose compiler lowers the object it wraps."""
+
+    inner: object
+
+
+@pytest.fixture
+def wrap(compilers):
+    register_compiler(GexpCompiler(
+        Wrap, lambda w, lowering, target:
+            lower_object(w.inner, lowering, target)))
+
+
+class TestCompilersThatLower:
+    """Compilers registered through the API that lower other objects
+    share the walk of `lower_object`: its stack, cycle check and order."""
+
+    def test_self_wrapper_is_a_cycle(self, store, wrap):
+        w = Wrap(None)
+        w.inner = w
+        lowering = Lowering(store)
+        with pytest.raises(LoweringError, match=re.escape(
+                f"dependency cycle: {w!r} -> {w!r}")):
+            lower_gexp(lowering, "top", stage(read("(list #$w)"), {"w": w}))
+        assert lower_object(PlainFile("after", b"x"), lowering).name == "after"
+
+    def test_deep_nesting_lowers(self, store, wrap):
+        assert sys.getrecursionlimit() == 1000
+        leaf = PlainFile("leaf", b"x")
+        w = leaf
+        for _ in range(2000):
+            w = Wrap(w)
+        d = gexp_to_derivation(store, "top", stage(read("(list #$w)"), {"w": w}))
+        leaf_path = lower_object(leaf, Lowering(store))
+        assert d.input_sources == (leaf_path,)
+        assert str(leaf_path) in d.builder.fs.read_text()
+
+    def test_compiler_lowering_a_gexp_writes_its_inputs_first(
+            self, lowering, compilers):
+        @dataclass(eq=False)
+        class Script:
+            program: object
+
+        register_compiler(GexpCompiler(
+            Script, lambda s, lowering, target:
+                lower_gexp(lowering, "script", s.program, target)))
+        pkg = make_package()
+        script = Script(stage(read("(list #$p)"), {"p": pkg}))
+        top = lower_gexp(lowering, "top",
+                         stage(read("(list #$s)"), {"s": script}))
+        plan = [(d.name, path) for path, d in lowering.written.values()]
+        assert [name for name, _ in plan] == ["imagemagick-6.9", "script", "top"]
+        script_drv = lower_object(script, lowering)
+        assert script_drv.input_drvs == ((plan[0][1], ("out",)),)
+        assert top.input_drvs == ((plan[1][1], ("out",)),)
+
+    def test_catch_all_in_a_compiler_lets_the_walk_through(
+            self, lowering, compilers):
+        @dataclass(eq=False)
+        class Guarded:
+            inner: object
+
+        def lower(obj, lowering, target):
+            try:
+                return lower_object(obj.inner, lowering, target)
+            except Exception:
+                return lowering.store.intern_file(b"fallback", "fallback")
+
+        register_compiler(GexpCompiler(Guarded, lower))
+        pkg = make_package()
+        assert lower_object(Guarded(pkg), lowering) is lower_object(pkg, lowering)
 
 
 class TestChecksFromMemory:
