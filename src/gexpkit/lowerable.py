@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from .gexp import (Gexp, HostEnv, StagingError, _head_name, eval_host,
-                   gexp_modules, gexp_outputs, gexp_to_sexp)
+                   gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp)
 from .modules import (intern_module_closure, read_source,
                       source_module_closure)
 from .sexp import SList, String, Symbol, print_canonical, read_all
@@ -149,7 +149,7 @@ class Lowering:
         self.lowered: dict = {}
         self.written: dict = {}
         self.reads: dict[str, Optional[str]] = {}
-        self._walking = False  # set while `lower_object` walks
+        self._running = None  # the walk's frame whose compiler runs
 
     def write(self, d: Derivation,
               builder_text: Optional[str] = None) -> StorePath:
@@ -164,47 +164,102 @@ class Lowering:
 
 
 class _Need(BaseException):
-    """``(obj, target)``, asked for by a compiler and not lowered yet; not
-    an `Exception`, so a compiler's ``except Exception`` lets it pass."""
+    """Stops a compiler that asked for objects not lowered yet; not an
+    `Exception`, so a compiler's ``except Exception`` lets it pass."""
+
+
+class _Frame:
+    """An object on the walk's stack: the answers to its compiler's
+    requests, in order, each with the types and targets asked for; and
+    the request waiting for one (``need``), with its objects still to
+    lower, last first (``pending``)."""
+
+    def __init__(self, obj=None, target=None):
+        self.obj, self.target = obj, target
+        self.answers, self.asked, self.need, self.pending = [], 0, None, []
 
 
 def lower_object(obj, lowering: Lowering, target: Optional[str] = None):
     """Lower *obj* for *target*, memoized on *lowering*.
 
-    One walk on its own stack runs the compilers.  Asked for inside it,
-    an object not yet lowered stops the asking compiler (`_Need`); the
-    walk lowers the object, then runs that compiler again.  A dependency
-    chain is bounded by memory, not by recursion, and a cycle is a
-    `LoweringError` naming it."""
+    One walk on its own stack runs the compilers.  A compiler asking for
+    objects not yet lowered stops (`_Need`); the walk lowers them, then
+    runs the compiler again, and each request of the new run gets the
+    answer to the same request of the last: the lowered items, or the
+    exception a compiler raised, so a compiler must ask in the same
+    order each run.  A dependency chain is bounded by memory, not by
+    recursion, and a cycle is a `LoweringError` naming it."""
+    return _lower(lowering, [(obj, target)])[0]
+
+
+def _lower(lowering: Lowering, pairs: list) -> list:
+    """The lowered items of the (object, target) *pairs*, asked for by
+    the running compiler or, outside the walk, by the caller."""
+    frame = lowering._running or _Frame()
+    frame.asked += 1
+    shape = [(type(o), t) for o, t in pairs]
+    if frame.asked > len(frame.answers):
+        lowered = lowering.lowered
+        missing = [p for p in pairs if (id(p[0]), p[1]) not in lowered]
+        if not missing:
+            frame.answers.append(
+                (shape, [lowered[(id(o), t)][0] for o, t in pairs]))
+        else:
+            frame.need, frame.pending = (shape, pairs), missing[::-1]
+            if lowering._running is not None:
+                raise _Need
+            _walk(lowering, frame)
+    asked, got = frame.answers[frame.asked - 1]
+    if asked != shape:
+        raise LoweringError(f"the compiler of {frame.obj!r} asked for "
+                            f"other objects when run again")
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _walk(lowering: Lowering, caller: _Frame) -> None:
+    """Lower what *caller* waits for, and answer it."""
     lowered = lowering.lowered
-    key = (id(obj), target)
-    if key in lowered:
-        return lowered[key][0]
-    if lowering._walking:
-        raise _Need(obj, target)
-    opened = {key: 0}  # (object id, target) -> its index in the stack
-    stack = [(obj, target)]
-    lowering._walking = True
-    try:
-        while stack:
-            node, node_target = stack[-1]
-            try:
-                result = _compiler(node).lower(node, lowering, node_target)
-            except _Need as need:
-                dep, dep_target = need.args
-                dep_key = (id(dep), dep_target)
-                if dep_key in opened:
-                    cycle = [n for n, _ in stack[opened[dep_key]:]] + [dep]
-                    raise LoweringError("dependency cycle: " + " -> ".join(
-                        map(repr, cycle))) from None
+    opened: dict = {}  # (object id, target) on the stack -> its index
+    stack = [caller]
+    while True:
+        frame = stack[-1]
+        if frame.pending:
+            dep, dep_target = frame.pending.pop()
+            dep_key = (id(dep), dep_target)
+            if dep_key in opened:
+                cycle = [f.obj for f in stack[opened[dep_key]:]] + [dep]
+                raise LoweringError(
+                    "dependency cycle: " + " -> ".join(map(repr, cycle)))
+            if dep_key not in lowered:
                 opened[dep_key] = len(stack)
-                stack.append((dep, dep_target))
-            else:
-                stack.pop()
-                lowered[(id(node), node_target)] = (result, node)
-    finally:
-        lowering._walking = False
-    return lowered[key][0]
+                stack.append(_Frame(dep, dep_target))
+            continue
+        if frame.need is not None:
+            shape, pairs = frame.need
+            frame.answers.append(
+                (shape, [lowered[(id(o), t)][0] for o, t in pairs]))
+            frame.need = None
+        if frame is caller:
+            return
+        frame.asked = 0
+        lowering._running = frame
+        try:
+            result = _compiler(frame.obj).lower(frame.obj, lowering,
+                                                frame.target)
+        except _Need:
+            continue
+        except Exception as exc:
+            asker = stack[-2]
+            asker.answers.append((asker.need[0], exc))
+            asker.need, asker.pending = None, []
+        else:
+            lowered[(id(frame.obj), frame.target)] = (result, frame.obj)
+        finally:
+            lowering._running = None
+        del opened[(id(frame.obj), frame.target)]
+        stack.pop()
 
 
 def expand_object(obj, lowered) -> str:
@@ -230,8 +285,8 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
                target: Optional[str] = None) -> Derivation:
     """Lower *g* into a derivation named *name*.
 
-    Each embedded object lowers under (system, target) honoring native
-    flags as serialization reaches it, and becomes an input drv or
+    The embedded objects lower first, in one request, under (system,
+    target) honoring native flags, and each becomes an input drv or
     source.  The residual program is interned as ``<name>-builder``,
     each referenced output gets an env entry mapping its name to its
     output path, and the imported-module closure (if any), found on
@@ -243,11 +298,12 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
         validate_system(target)
     store, system = lowering.store, lowering.system
 
+    pairs = [(ref.payload.obj, None if ref.native else target)
+             for ref in gexp_inputs(g)]
+    items = _lower(lowering, pairs)
     drv_inputs: dict[str, StorePath] = {}
     source_inputs: dict[str, StorePath] = {}
-
-    def resolve(obj, _system, obj_target):
-        lowered = lower_object(obj, lowering, obj_target)
+    for lowered in items:
         if isinstance(lowered, Derivation):
             drv_path = lowering.write(lowered)
             drv_inputs.setdefault(str(drv_path), drv_path)
@@ -257,9 +313,10 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
             raise LoweringError(
                 f"compiler returned {type(lowered).__name__}, "
                 f"expected a store path or derivation")
-        return String(expand_object(obj, lowered))
 
-    residual = gexp_to_sexp(g, system, target, resolve)
+    got = {(id(o), t): item for (o, t), item in zip(pairs, items)}
+    residual = gexp_to_sexp(g, system, target, lambda obj, _system, t: String(
+        expand_object(obj, got[(id(obj), t)])))
     builder_text = print_canonical(residual)
     builder = store.intern_file(builder_text.encode("utf-8"), f"{name}-builder")
 

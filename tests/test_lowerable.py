@@ -15,6 +15,7 @@ from gexpkit import (Derivation, GexpCompiler, LocalFile, Lowering,
                      expand_object, file_append, gexp_to_derivation,
                      lower_gexp, lower_object, output_path, read,
                      register_compiler, stage)
+from gexpkit.gexp import gexp_to_sexp
 from gexpkit.lowerable import default_expansion
 
 
@@ -300,6 +301,96 @@ class TestCompilersThatLower:
         register_compiler(GexpCompiler(Guarded, lower))
         pkg = make_package()
         assert lower_object(Guarded(pkg), lowering) is lower_object(pkg, lowering)
+
+    def test_compiler_catches_a_failure_of_what_it_asked_for(
+            self, lowering, wrap):
+        @dataclass(eq=False)
+        class Guarded:
+            inner: object
+
+        def lower(obj, lowering, target):
+            try:
+                return lower_object(obj.inner, lowering, target)
+            except LoweringError:
+                return lowering.store.intern_file(b"fallback", "fallback")
+
+        register_compiler(GexpCompiler(Guarded, lower))
+        for inner in (object(), Wrap(Wrap(object()))):
+            path = lower_object(Guarded(inner), lowering)
+            assert path.fs.read_bytes() == b"fallback"
+        with pytest.raises(LoweringError, match="no compiler registered"):
+            lower_object(Wrap(object()), lowering)
+        assert lower_object(Guarded(Wrap(PlainFile("f", b"x"))),
+                            lowering).fs.read_bytes() == b"x"
+
+    def test_compiler_lowering_an_object_it_builds(self, lowering, wrap):
+        @dataclass(eq=False)
+        class Note:
+            name: str
+            text: str
+
+        register_compiler(GexpCompiler(
+            Note, lambda n, lowering, target: lower_object(
+                PlainFile(n.name, n.text), lowering, target)))
+        notes = Wrap(Wrap(Note("n", "hi")))
+        assert lower_object(notes, lowering).fs.read_bytes() == b"hi"
+
+    def test_compiler_staging_a_gexp_around_an_object_it_builds(
+            self, lowering, compilers):
+        @dataclass(eq=False)
+        class Note:
+            name: str
+            text: str
+
+        register_compiler(GexpCompiler(
+            Note, lambda n, lowering, target: lower_gexp(
+                lowering, n.name, stage(read("(list #$f)"),
+                                        {"f": PlainFile(n.name, n.text)}),
+                target)))
+        d = lower_object(Note("n", "hi"), lowering)
+        [source] = d.input_sources
+        assert source.fs.read_bytes() == b"hi"
+        assert str(source) in d.builder.fs.read_text()
+
+    def test_compiler_asking_for_other_objects_when_run_again(
+            self, lowering, compilers):
+        @dataclass(eq=False)
+        class Fickle:
+            runs: int = 0
+
+        def lower(obj, lowering, target):
+            obj.runs += 1
+            inner = PlainFile("f", b"x") if obj.runs == 1 else LocalFile("/x")
+            return lower_object(inner, lowering, target)
+
+        register_compiler(GexpCompiler(Fickle, lower))
+        with pytest.raises(LoweringError, match="asked for other objects"):
+            lower_object(Fickle(), lowering)
+
+    def test_wide_package_runs_twice_and_serializes_once(
+            self, lowering, compilers, monkeypatch):
+        runs, serialized = [], []
+        lower_package = gexpkit.lowerable._COMPILERS[Package].lower
+
+        def counting_lower(pkg, lowering, target):
+            runs.append(pkg)
+            return lower_package(pkg, lowering, target)
+
+        def counting_gexp_to_sexp(g, *args):
+            serialized.append(g)
+            return gexp_to_sexp(g, *args)
+
+        gexpkit.lowerable._COMPILERS[Package] = GexpCompiler(
+            Package, counting_lower)
+        monkeypatch.setattr(gexpkit.lowerable, "gexp_to_sexp",
+                            counting_gexp_to_sexp)
+        files = {f"f{i}": PlainFile(f"f{i}", str(i)) for i in range(200)}
+        body = " ".join(f"#$f{i}" for i in range(200))
+        pkg = Package("wide", "1", stage(read(f"(list {body})"), files))
+        d = lower_object(pkg, lowering)
+        assert len(d.input_sources) == 200
+        assert runs == [pkg, pkg]
+        assert serialized == [pkg.build]
 
 
 class TestChecksFromMemory:
