@@ -3,10 +3,12 @@
 build loop are `store.build`, which imports this module only when some
 derivation's outputs are missing.
 
-The evaluator compiles each form once into flat instructions and runs
+The evaluator compiles each form once into flat instructions, which
+push the variables and constants they consume before they run, and runs
 them on an explicit value stack and control stack.  Calls in tail
 position, named-let loops included, replace the current call, so loops
-run in constant space; other calls may nest MAX_CALL_DEPTH deep.
+run in constant space; other calls may nest MAX_CALL_DEPTH deep.  Lists
+are immutable pairs ``(car, cdr)``; `mini_eval` returns Python lists.
 
 Builders run hermetically: the only ambient state they see is the
 variable map handed to the evaluator (output paths, SYSTEM, TARGET,
@@ -49,17 +51,6 @@ MAX_CALL_DEPTH = 10_000
 # the work and the memory of one step: without it, a loop that doubles
 # a string exhausts memory within a hundred steps.
 MAX_STRING_LENGTH = 1 << 24
-
-
-class _Frame:
-    """One scope: a dict of bindings and the enclosing scope.  ``define``
-    binds in the frame it runs in."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, vars, parent):
-        self.vars = vars
-        self.parent = parent
 
 
 class _Closure:
@@ -117,12 +108,13 @@ def _display(value) -> str:
             put(value.name)
         elif isinstance(value, Keyword):
             put("#:" + value.name)
-        elif isinstance(value, list):
+        elif type(value) is tuple:
             put("(")
-            for i, item in enumerate(value):
-                if i:
+            while value:
+                walk(value[0])
+                value = value[1]
+                if value:
                     put(" ")
-                walk(item)
             put(")")
         elif isinstance(value, _Closure):
             put(f"#<procedure {value.name}>")
@@ -135,8 +127,8 @@ def _display(value) -> str:
 
 def _scheme_equal(a, b) -> bool:
     """Structural equality on an explicit stack.  Identical values are
-    equal at once, and each pair of lists is compared once, so lists
-    that share structure, like those ``(list x x)`` builds, cost their
+    equal at once, and each two pairs are compared once, so lists that
+    share structure, like those ``(list x x)`` builds, cost their
     distinct nodes rather than their unfolded size."""
     stack = [(a, b)]
     seen = set()
@@ -146,43 +138,69 @@ def _scheme_equal(a, b) -> bool:
             continue
         if type(a) is not type(b):
             return False
-        if type(a) is list:
+        if type(a) is tuple:
             if len(a) != len(b):
                 return False
-            if (id(a), id(b)) not in seen:
+            if a and (id(a), id(b)) not in seen:
                 seen.add((id(a), id(b)))
-                stack.extend(zip(a, b))
+                stack += (a[1], b[1]), (a[0], b[0])
         elif a != b:
             return False
     return True
 
 
 def _datum(value: Sexp):
-    """Quoted data as runtime values: lists become Python lists, atoms
-    unwrap, symbols stay symbols."""
-    if isinstance(value, SList):
-        return [_datum(i) for i in value.items]
-    if isinstance(value, Integer):
-        return value.value
-    if isinstance(value, String):
-        return value.value
-    if isinstance(value, Boolean):
-        return value.value
-    return value
+    """Quoted data as runtime values, on an explicit stack: lists become
+    pairs, atoms unwrap, symbols and keywords stay as they are."""
+    # per open list, outermost first: items left (last first), pairs so far
+    items, made = [iter((value,))], [()]
+    while items:
+        for item in items[-1]:
+            if isinstance(item, SList):
+                items.append(reversed(item.items))
+                made.append(())
+                break
+            made[-1] = (item.value if isinstance(item, (Integer, String, Boolean))
+                        else item, made[-1])
+        else:
+            del items[-1]
+            done = made.pop()
+            if made:
+                made[-1] = (done, made[-1])
+    return done[0]
 
 
-def _check_int(value, op: str) -> int:
+def _python_lists(value):
+    """*value* with its lists as Python lists, on an explicit stack: each
+    list is converted once, and one whose tail is converted copies that."""
+    converted = {}
+    stack = [value] if type(value) is tuple else []
+    while stack:
+        lst = stack[-1]
+        if id(lst) in converted:
+            del stack[-1]
+            continue
+        items = []
+        while lst and id(lst) not in converted:
+            items.append(lst[0])
+            lst = lst[1]
+        inner = [i for i in items if type(i) is tuple and id(i) not in converted]
+        stack += inner
+        if not inner:
+            converted[id(stack.pop())] = ([converted.get(id(i), i) for i in items]
+                                          + converted.get(id(lst), []))
+    return converted.get(id(value), value)
+
+
+def _check_int(value, op: str) -> None:
     if type(value) is not int:
         raise BuildError(f"{op}: expected an integer, got {_display(value)}")
-    return value
 
 
-def _check_int64(value: int, op: str) -> int:
-    """*value* if it fits the integers the reader accepts.  The bound
-    keeps each arithmetic step cheap."""
+def _check_int64(value: int, op: str) -> None:
+    """Fail unless *value* fits the reader's integers: that keeps steps cheap."""
     if not INT64_MIN <= value <= INT64_MAX:
         raise BuildError(f"{op}: result out of signed 64-bit range")
-    return value
 
 
 def _check_str(value, op: str) -> str:
@@ -193,15 +211,19 @@ def _check_str(value, op: str) -> str:
 
 # compiler
 #
-# Each form is compiled once into a flat list of instructions, triples
-# (opcode, steps, operand): *steps* is the number of syntax nodes whose
-# evaluation begins at that instruction, so the step count is the one a
-# tree walk gets by counting every node it visits.  A form in tail
-# position ends in _RETURN or _TAILCALL.
+# Each form is compiled once into a flat list of instructions, tuples
+# (opcode, steps, pushes, operand).  The run loop pushes the values of
+# *pushes*, pairs (is_variable, name or value), before it runs the
+# opcode; the compiler holds each variable or constant until the next
+# emit, and flushes them into a _PUSH before a jump target, which other
+# paths reach too.  *steps* counts the syntax nodes whose evaluation
+# begins at the instruction, as a tree walk counts every node it visits.
+# A form in tail position ends in _RETURN or _TAILCALL.  _NEXT_MODULE
+# runs again after each module body it enters: it has no pushes or steps.
 
-(_LOAD, _CONST, _CALL, _TAILCALL, _JUMP_IF_FALSE, _RETURN, _POP, _JUMP,
- _DEFINE, _BIND, _CLOSURE, _LOOP, _ENTER, _FRAME, _LEAVE, _MODULES,
- _NEXT_MODULE, _FAIL) = range(18)
+(_CALL, _TAILCALL, _JUMP_IF_FALSE, _RETURN, _POP, _JUMP, _PUSH, _DEFINE,
+ _BIND, _CLOSURE, _LOOP, _ENTER, _FRAME, _LEAVE, _MODULES, _NEXT_MODULE,
+ _FAIL) = range(17)
 
 
 def _bindings(form, what):
@@ -235,10 +257,12 @@ class _Compiler:
     def __init__(self):
         self.code: list = []
         self.steps = 0
+        self.pushes: list = []
 
     def emit(self, op, a=None) -> int:
-        self.code.append((op, self.steps, a))
+        self.code.append((op, self.steps, tuple(self.pushes), a))
         self.steps = 0
+        self.pushes.clear()
         return len(self.code) - 1
 
     def value(self, op, a, tail) -> None:
@@ -246,14 +270,22 @@ class _Compiler:
         if tail:
             self.emit(_RETURN)
 
+    def operand(self, variable: bool, x, tail) -> None:
+        """Have the next instruction push a variable's or a constant's value."""
+        self.pushes.append((variable, x))
+        if tail:
+            self.emit(_RETURN)
+
     def patch(self, at: int) -> None:
-        """Point the jump at *at* to the next instruction emitted."""
-        op, steps, _ = self.code[at]
-        self.code[at] = (op, steps, len(self.code))
+        """Point the jump at *at* here, first flushing the held operands."""
+        if self.pushes or self.steps:
+            self.emit(_PUSH)
+        op, steps, pushes, _ = self.code[at]
+        self.code[at] = (op, steps, pushes, len(self.code))
 
     def sequence(self, forms, tail) -> None:
         if not forms:
-            self.value(_CONST, None, tail)
+            self.operand(False, None, tail)
             return
         for form in forms[:-1]:
             self.expr(form, False)
@@ -277,17 +309,15 @@ class _Compiler:
             for item in expr.items:
                 self.expr(item, False)
             self.emit(_TAILCALL if tail else _CALL, len(expr.items) - 1)
-        elif isinstance(expr, (Integer, String, Boolean)):
-            self.value(_CONST, expr.value, tail)
-        elif isinstance(expr, Keyword):
-            self.value(_CONST, expr, tail)
         elif isinstance(expr, Symbol):
-            self.value(_LOAD, expr.name, tail)
+            self.operand(True, expr.name, tail)
+        elif isinstance(expr, (Integer, String, Boolean, Keyword)):
+            self.operand(False, _datum(expr), tail)
         else:
             self.emit(_FAIL, f"cannot evaluate {expr!r}")
 
-    # special forms: each checks the whole form before emitting anything
-    # and raises BuildError, which `expr` turns into _FAIL
+    # special forms: each checks the whole form before emitting or holding
+    # anything and raises BuildError, which `expr` turns into _FAIL
 
     def scope_body(self, forms, tail) -> None:
         self.sequence(forms, tail)
@@ -297,7 +327,7 @@ class _Compiler:
     def sf_quote(self, expr, tail):
         if len(expr) != 2:
             raise BuildError("malformed quote")
-        self.value(_CONST, _datum(expr.items[1]), tail)
+        self.operand(False, _datum(expr.items[1]), tail)
 
     def sf_if(self, expr, tail):
         if len(expr) not in (3, 4):
@@ -311,7 +341,7 @@ class _Compiler:
         if len(expr) == 4:
             self.expr(expr.items[3], tail)
         else:
-            self.value(_CONST, None, tail)
+            self.operand(False, None, tail)
         if not tail:
             self.patch(done)
 
@@ -406,10 +436,10 @@ class _Evaluator:
     def __init__(self, env: EvalEnv):
         self.env = env
         self.loaded_modules: set = set()
-        self.globals = _Frame(dict(_PRIMITIVES), None)
+        self.globals = (dict(_PRIMITIVES), None)
 
     def run(self, code, frame):
-        """Execute *code* in *frame* and return its value.
+        """Run *code* in *frame*, a (bindings, parent) tuple; return its value.
 
         Operands and results live on *stack*.  A non-tail call of a
         closure saves the caller's (code, pc, frame) on *control*; a tail
@@ -424,29 +454,26 @@ class _Evaluator:
         control: list = []
         pc = 0
         while True:
-            op, weight, a = code[pc]
+            op, weight, pushes, a = code[pc]
             pc += 1
             if weight:
                 steps += weight
                 if steps > budget:
                     raise BuildError(
                         f"step budget exceeded ({budget} steps)")
-            if op == _LOAD:
-                scope = frame
-                bound = scope.vars
-                while a not in bound:
-                    scope = scope.parent
-                    if scope is None:
-                        raise BuildError(f"unbound variable: {a}")
-                    bound = scope.vars
-                value = bound[a]
-                if value is _UNASSIGNED:
-                    raise BuildError(
-                        f"variable used before initialization: {a}")
+            for variable, value in pushes:
+                if variable:
+                    bound, scope = frame
+                    while value not in bound:
+                        if scope is None:
+                            raise BuildError(f"unbound variable: {value}")
+                        bound, scope = scope
+                    name, value = value, bound[value]
+                    if value is _UNASSIGNED:
+                        raise BuildError(
+                            f"variable used before initialization: {name}")
                 push(value)
-            elif op == _CONST:
-                push(a)
-            elif op == _CALL or op == _TAILCALL:
+            if op == _CALL or op == _TAILCALL:
                 # The operands are stack[-a:], the procedure is below
                 # them.  One and two operands are spelled out: that is
                 # several times cheaper than zip() or a *-call.
@@ -470,7 +497,7 @@ class _Evaluator:
                             raise BuildError(
                                 "recursion too deep: more than "
                                 f"{MAX_CALL_DEPTH} nested calls")
-                    code, pc, frame = fn.code, 0, _Frame(bound, fn.frame)
+                    code, pc, frame = fn.code, 0, (bound, fn.frame)
                     continue
                 if type(fn) is not _Primitive:
                     raise BuildError(f"not a procedure: {_display(fn)}")
@@ -484,13 +511,11 @@ class _Evaluator:
                 else:
                     value = fn.fn(env, *stack[len(stack) - a:])
                 del stack[-a - 1:]
-                if op == _CALL:
-                    push(value)
-                elif control:
-                    push(value)
+                if op == _TAILCALL:
+                    if not control:
+                        return value
                     code, pc, frame = control.pop()
-                else:
-                    return value
+                push(value)
             elif op == _JUMP_IF_FALSE:
                 if stack.pop() is False:
                     pc = a
@@ -498,31 +523,32 @@ class _Evaluator:
                 if not control:
                     return stack.pop()
                 code, pc, frame = control.pop()
+            elif op == _PUSH:
+                pass
             elif op == _POP:
                 del stack[-1]
             elif op == _JUMP:
                 pc = a
             elif op == _DEFINE:
-                frame.vars[a] = stack[-1]
+                frame[0][a] = stack[-1]
                 stack[-1] = None
             elif op == _BIND:
-                frame.vars[a] = stack.pop()
+                frame[0][a] = stack.pop()
             elif op == _CLOSURE:
                 push(_Closure(a[0], a[1], frame, a[2]))
-            elif op == _LOOP:
-                # a named let's procedure, bound in a frame of its own
+            elif op == _LOOP:  # a named let's procedure, in a frame of its own
                 params, body, name = a
-                scope = _Frame({}, frame)
-                scope.vars[name] = loop = _Closure(params, body, scope, name)
+                bound = {}
+                bound[name] = loop = _Closure(params, body, (bound, frame), name)
                 push(loop)
             elif op == _ENTER:
                 base = len(stack) - len(a)
-                frame = _Frame(dict(zip(a, stack[base:])), frame)
+                frame = (dict(zip(a, stack[base:])), frame)
                 del stack[base:]
             elif op == _FRAME:
-                frame = _Frame(dict.fromkeys(a, _UNASSIGNED), frame)
+                frame = (dict.fromkeys(a, _UNASSIGNED), frame)
             elif op == _LEAVE:
-                frame = frame.parent
+                frame = frame[1]
             elif op == _MODULES:
                 push(self._load_modules(a))
             elif op == _NEXT_MODULE:  # enter the next module body, if any
@@ -581,32 +607,38 @@ def _primitives() -> dict:
                              f"{MAX_STRING_LENGTH} characters")
         return "".join(parts)
 
+    # the integer primitives call _check_int and _check_int64 only to raise
+
     def plus(env, *args):
         total = 0
         for a in args:
             if type(a) is not int:
                 _check_int(a, "+")
             total += a
-        return _check_int64(total, "+")
+        return total if INT64_MIN <= total <= INT64_MAX else _check_int64(total, "+")
 
     def minus(env, first, *rest):
-        _check_int(first, "-")
+        if type(first) is not int:
+            _check_int(first, "-")
         if not rest:
-            return _check_int64(-first, "-")
+            first = -first
         for a in rest:
             if type(a) is not int:
                 _check_int(a, "-")
             first -= a
-        return _check_int64(first, "-")
+        return first if INT64_MIN <= first <= INT64_MAX else _check_int64(first, "-")
 
     def times(env, *args):
         total = 1
         for a in args:
-            total *= _check_int(a, "*")
-        return _check_int64(total, "*")
+            if type(a) is not int:
+                _check_int(a, "*")
+            total *= a
+        return total if INT64_MIN <= total <= INT64_MAX else _check_int64(total, "*")
 
     def num_equal(env, first, *rest):
-        _check_int(first, "=")
+        if type(first) is not int:
+            _check_int(first, "=")
         for a in rest:
             if type(a) is not int:
                 _check_int(a, "=")
@@ -614,20 +646,26 @@ def _primitives() -> dict:
                 return False
         return True
 
+    def make_list(env, *items):
+        lst = ()
+        for item in reversed(items):
+            lst = (item, lst)
+        return lst
+
     def car(env, lst):
-        if not isinstance(lst, list) or not lst:
+        if type(lst) is not tuple or not lst:
             raise BuildError(f"car: expected a non-empty list, got {_display(lst)}")
         return lst[0]
 
     def cdr(env, lst):
-        if not isinstance(lst, list) or not lst:
+        if type(lst) is not tuple or not lst:
             raise BuildError(f"cdr: expected a non-empty list, got {_display(lst)}")
-        return lst[1:]
+        return lst[1]
 
     def cons(env, value, lst):
-        if not isinstance(lst, list):
+        if type(lst) is not tuple:
             raise BuildError(f"cons: expected a list, got {_display(lst)}")
-        return [value] + lst
+        return (value, lst)
 
     def mkdir(env, path):
         try:
@@ -675,11 +713,11 @@ def _primitives() -> dict:
     return {name: _Primitive(name, fn) for name, fn in {
         "getenv": getenv,
         "string-append": string_append,
-        "list": lambda env, *args: list(args),
+        "list": make_list,
         "cons": cons,
         "car": car,
         "cdr": cdr,
-        "null?": lambda env, v: isinstance(v, list) and not v,
+        "null?": lambda env, v: v == (),
         "equal?": lambda env, a, b: _scheme_equal(a, b),
         "+": plus,
         "-": minus,
@@ -703,10 +741,12 @@ def mini_eval(program, env: Optional[EvalEnv] = None):
     forms = program if isinstance(program, (list, tuple)) else [program]
     evaluator = _Evaluator(env or EvalEnv())
     try:
-        return evaluator.run(_compile_body(forms), evaluator.globals)
+        return _python_lists(
+            evaluator.run(_compile_body(forms), evaluator.globals))
     except RecursionError:
-        # The compiler and the printing of nested lists recurse on the
-        # host stack; program calls and module loading never do.
+        # The compiler recurses on the nesting of code, and printing on
+        # the nesting of lists in lists; program calls, module loading
+        # and quoted data never recurse on the host stack.
         raise BuildError("recursion limit exceeded in builder program") from None
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,27 @@ def package_chain(length):
     forms = [f'(define-package p{i} (package (name "p{i}") (version "1")'
              f' (build {build(i)})))' for i in range(length)]
     return "\n".join([*forms, build(length)]).encode()
+
+
+class TooSlow(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TooSlow inside the block once *seconds* of wall time have
+    passed, so that work which should be bounded fails fast instead of
+    stalling the suite.  It uses SIGALRM: main thread only."""
+    def too_slow(signum, frame):
+        raise TooSlow(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_main(argv):

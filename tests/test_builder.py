@@ -1,6 +1,5 @@
 import os
 import re
-import signal
 import sys
 import tempfile
 import threading
@@ -16,16 +15,8 @@ from gexpkit import (BuildError, Derivation, EvalEnv, Package, Store, build,
                      read_all, stage, write_derivation)
 from gexpkit.modules import ModuleError, source_module_closure
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, time_limit
 from strategies import builder_programs
-
-
-class _TooSlow(Exception):
-    pass
-
-
-def _too_slow(signum, frame):
-    raise _TooSlow("did not return at once")
 
 
 def ev(text, **kwargs):
@@ -74,6 +65,34 @@ class TestMiniEval:
         with pytest.raises(BuildError):
             ev("(car (list))")
 
+    def test_cons_and_cdr_take_constant_time(self):
+        # A cons or cdr that copies its list makes each loop quadratic:
+        # the cons loop alone then takes about 15 s.
+        with time_limit(2.0):
+            assert ev("(define xs (let loop ((i 0) (acc '()))"
+                      " (if (= i 80000) acc (loop (+ i 1) (cons i acc)))))"
+                      " (let walk ((l xs) (n 0) (last -1))"
+                      " (if (null? l) (list n last)"
+                      " (walk (cdr l) (+ n 1) (car l))))") == [80000, 0]
+
+    def test_shared_lists_are_returned_once(self):
+        # Doubled 64 times, the result would unfold to 2**64 atoms.
+        with time_limit(2.0):
+            value = ev("(let loop ((i 0) (x (list 1)))"
+                       " (if (= i 64) x (loop (+ i 1) (list x x))))")
+        for _ in range(64):
+            assert value[0] is value[1]
+            value = value[0]
+        assert value == [1]
+
+    def test_lists_sharing_tails_are_returned_whole(self):
+        assert ev("(let loop ((i 0) (x '()) (acc '()))"
+                  " (if (= i 3) acc (loop (+ i 1) (cons i x) (cons x acc))))"
+                  ) == [[1, 0], [0], []]
+        assert ev("(define x (list 1 2)) (list (cons 0 x) x (cons 3 (cdr x)))"
+                  ) == [[0, 1, 2], [1, 2], [3, 2]]
+        assert ev("(define x (list 1 2)) (list x (cons 0 x))") == [[1, 2], [0, 1, 2]]
+
     def test_equality_keeps_booleans_and_ints_apart(self):
         assert ev("(equal? 1 1)") is True
         assert ev("(equal? 1 #t)") is False
@@ -83,6 +102,13 @@ class TestMiniEval:
     def test_quote(self):
         assert ev("'(1 2 (3))") == [1, 2, [3]]
         assert ev("(car '(a b))") == read("a")
+
+    def test_quoted_datum_nests_deeper_than_the_recursion_limit(self):
+        # 3,000 lists, each the only item of the one around it
+        depth = 3000
+        assert depth > sys.getrecursionlimit()
+        assert ev("(let walk ((x '" + "(" * depth + ")" * depth + ") (n 0))"
+                  " (if (null? x) n (walk (car x) (+ n 1))))") == depth - 1
 
     def test_only_false_is_falsy(self):
         assert ev("(if 0 1 2)") == 1
@@ -293,16 +319,11 @@ class TestMiniEval:
             ev('(error "{}")'.format("a" * 56))
         # Doubled 64 times, the list would print as 2**64 atoms.  The
         # timer stops a print that is not bounded before it exhausts memory.
-        signal.signal(signal.SIGALRM, _too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with time_limit(2.0):
             with pytest.raises(BuildError, match="^cannot print a value "
                                                  "longer than 64 characters$"):
                 ev("(let loop ((i 0) (x (list 1)))"
                    " (if (= i 64) (error x) (loop (+ i 1) (list x x))))")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
     @pytest.mark.parametrize("program, steps", [
         ("(define (fib n) (if (= n 0) 0 (if (= n 1) 1"
@@ -313,7 +334,11 @@ class TestMiniEval:
          " (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))"
          " (even? 100))", 1112),
         ("(use-modules (demo util a)) (a-label)", 17),
-    ], ids=["fib-18", "named-let-200", "letrec-even-100", "modules"])
+        ("(define xs '(1 (2 3))) (define (pick l) (if (null? l) 0 (car l)))"
+         " (let* ((a (pick xs)) (b (if (= a 1) (car (cdr xs)) 'none)))"
+         " (list (if (null? b) 'empty (car b)) (if #f 1 2) a))", 37),
+    ], ids=["fib-18", "named-let-200", "letrec-even-100", "modules",
+            "non-tail-ifs"])
     def test_every_syntax_node_is_one_step(self, program, steps, module_dir):
         forms = read_all(program)
         mini_eval(forms, EvalEnv(module_path=(module_dir,), step_budget=steps))
@@ -344,6 +369,23 @@ class TestMiniEval:
     def test_malformed_form_message(self, program, message):
         with pytest.raises(BuildError, match=message):
             ev(program)
+
+    def test_operator_is_evaluated_before_operands(self):
+        with pytest.raises(BuildError, match="^unbound variable: f$"):
+            ev('(f (error "boom"))')
+
+    def test_variable_is_read_where_it_stands(self):
+        assert ev("(define x 1) (list x (begin (define x 2) x))") == [1, 2]
+
+    def test_non_tail_if_with_atom_branches(self):
+        # The else branch's constant is pushed only on its own path, not
+        # where the then branch jumps to.
+        assert ev("(list (if #t 1 2) (if #f 1 2))") == [1, 2]
+        assert ev("(define x 1) (list (if x x 2) (if #f x) 3)") == [1, None, 3]
+
+    def test_call_of_variables_and_constants_is_one_instruction(self):
+        code = builder._compile_body(read_all("(f x 1 \"s\" 'q)"))
+        assert [op for op, *_ in code] == [builder._TAILCALL]
 
     def test_define_binds_in_the_frame_it_runs_in(self):
         assert ev("(define x 1) (define (f) (define x 2) x) (f) x") == 1
