@@ -6,17 +6,24 @@ string assembly; the script deliberately does not import gexpkit, so
 the frozen files pin the path formula independently of the package
 implementation.  Run from the repository root:
 
-    python scripts/make_goldens.py
+    python scripts/make_goldens.py          # write the files below
+    python scripts/make_goldens.py --check  # exit 1 if any file differs
 
 Outputs:
     tests/golden/paths.json          expected store paths
     tests/golden/golden-example.drv  expected derivation file bytes
+    tests/golden/first-1.drv         the two-package chain: the embedded
+    tests/golden/second.drv          package and the root that binds a let
+    tests/fixtures/chain/second.scm  the chain's deployment
     tests/fixtures/modules/...       module fixture tree (3-file import chain)
 """
 
+import filecmp
 import hashlib
 import json
 import pathlib
+import sys
+import tempfile
 
 PREFIX = "./store"
 SYSTEM = "x86_64-linux"
@@ -75,6 +82,63 @@ def derivation_text(name, system, target, builder, input_drvs, input_sources,
     return "".join(parts) + ")"
 
 
+def derivation(name, builder_text, input_drvs=(), input_sources=()):
+    """The .drv text, its store path and the "out" path of a derivation
+    whose builder program is *builder_text*, as lowering writes it: the
+    builder is interned as <name>-builder and the output path is hashed
+    over the text with the output fields blanked."""
+    builder = store_path("source", builder_text.encode("utf-8"), f"{name}-builder")
+    blank = derivation_text(name, SYSTEM, None, builder, input_drvs, input_sources,
+                            {"out": ""}, {"out": ""})
+    out_fp = (f'output:out:sha256:'
+              f'{hashlib.sha256(blank.encode("utf-8")).hexdigest()}:{name}')
+    out_hash = base32(hashlib.sha256(out_fp.encode("utf-8")).digest()[:20])
+    out_path = f"{PREFIX}/{out_hash}-{name}"
+    final = derivation_text(name, SYSTEM, None, builder, input_drvs, input_sources,
+                            {"out": out_path}, {"out": out_path})
+    return final, store_path("text", final.encode("utf-8"), f"{name}.drv"), out_path
+
+
+# A two-package chain: "second" (the deployment's root gexp) embeds the
+# package "first" with #$ and binds a let.  Staging renames the let's
+# binders to <name>-<tag>-0, the tag being the first four hex digits of
+# the SHA-256 of the body's canonical text (shorthand expanded), taken
+# before renaming.
+CHAIN_DEPLOYMENT = """\
+(define-package first
+  (package
+    (name "first")
+    (version "1")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/greeting") "hello")))))
+
+#~(let ((dir #$output) (from #$first))
+    (mkdir dir)
+    (copy-file (string-append from "/greeting") (string-append dir "/greeting")))
+"""
+
+SECOND_BODY = ('(let ((dir (ungexp output)) (from (ungexp first))) (mkdir dir)'
+               ' (copy-file (string-append from "/greeting")'
+               ' (string-append dir "/greeting")))')
+
+
+def chain_goldens():
+    """{file name: .drv text} and {paths.json key: path} of the chain."""
+    first_text, first_drv, first_out = derivation(
+        "first-1", '(begin (mkdir (getenv "out")) (write-file'
+                   ' (string-append (getenv "out") "/greeting") "hello"))')
+    tag = hashlib.sha256(SECOND_BODY.encode("utf-8")).hexdigest()[:4]
+    d, f = f"dir-{tag}-0", f"from-{tag}-0"
+    second_text, second_drv, _ = derivation(
+        "second", f'(let (({d} (getenv "out")) ({f} {quote(first_out)})) (mkdir {d})'
+                  f' (copy-file (string-append {f} "/greeting")'
+                  f' (string-append {d} "/greeting")))',
+        input_drvs=[(first_drv, ["out"])])
+    return ({"first-1.drv": first_text, "second.drv": second_text},
+            {"first-drv": first_drv, "second-drv": second_drv})
+
+
 MODULE_FILES = {
     "demo/util/a.scm": '(define-module (demo util a) #:use-module (demo util b))\n'
                        '(define (a-label) (string-append "a+" (b-label)))\n',
@@ -85,8 +149,10 @@ MODULE_FILES = {
 }
 
 
-def main():
-    root = pathlib.Path(__file__).resolve().parent.parent
+def generate(root: pathlib.Path) -> list:
+    """Write every golden file under *root*; return their paths relative
+    to it."""
+    written = []
     golden_dir = root / "tests" / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
 
@@ -103,21 +169,23 @@ def main():
         f'(begin (mkdir (getenv "out")) '
         f'(copy-file {quote(src)} (string-append (getenv "out") "/image.png")))'
     )
-    builder = store_path("source", builder_text.encode("utf-8"), "golden-example-builder")
-    paths["builder"] = builder
+    paths["builder"] = store_path("source", builder_text.encode("utf-8"),
+                                  "golden-example-builder")
+    final, drv, paths["output"] = derivation(
+        "golden-example", builder_text, input_sources=[src])
+    paths["drv"] = drv
+    drvs = {"golden-example.drv": final}
 
-    blank = derivation_text("golden-example", SYSTEM, None, builder, [], [src],
-                            {"out": ""}, {"out": ""})
-    out_fp = (f'output:out:sha256:'
-              f'{hashlib.sha256(blank.encode("utf-8")).hexdigest()}:golden-example')
-    out_hash = base32(hashlib.sha256(out_fp.encode("utf-8")).digest()[:20])
-    out_path = f"{PREFIX}/{out_hash}-golden-example"
-    paths["output"] = out_path
-
-    final = derivation_text("golden-example", SYSTEM, None, builder, [], [src],
-                            {"out": out_path}, {"out": out_path})
-    paths["drv"] = store_path("text", final.encode("utf-8"), "golden-example.drv")
-    (golden_dir / "golden-example.drv").write_bytes(final.encode("utf-8"))
+    chain_drvs, chain_paths = chain_goldens()
+    drvs.update(chain_drvs)
+    paths.update(chain_paths)
+    for file_name, text in drvs.items():
+        (golden_dir / file_name).write_bytes(text.encode("utf-8"))
+        written.append(f"tests/golden/{file_name}")
+    chain_dir = root / "tests" / "fixtures" / "chain"
+    chain_dir.mkdir(parents=True, exist_ok=True)
+    (chain_dir / "second.scm").write_text(CHAIN_DEPLOYMENT, encoding="utf-8")
+    written.append("tests/fixtures/chain/second.scm")
 
     # Module import chain fixture and its interned closure directory.
     fixtures = root / "tests" / "fixtures" / "modules"
@@ -127,14 +195,34 @@ def main():
         target = fixtures / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
+        written.append(f"tests/fixtures/modules/{relpath}")
         blob += relpath.encode("utf-8") + b"\n" + text.encode("utf-8")
     paths["modules"] = store_path("source", blob, "modules")
 
     (golden_dir / "paths.json").write_text(json.dumps(paths, indent=2) + "\n",
                                            encoding="utf-8")
-    for key, value in paths.items():
-        print(f"{key}: {value}")
+    written.append("tests/golden/paths.json")
+    return written
+
+
+def main(argv) -> int:
+    root = pathlib.Path(__file__).resolve().parent.parent
+    if argv == ["--check"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            stale = [rel for rel in generate(pathlib.Path(tmp))
+                     if not (root / rel).is_file()
+                     or not filecmp.cmp(pathlib.Path(tmp) / rel, root / rel,
+                                        shallow=False)]
+        for rel in stale:
+            print(f"differs from its oracle: {rel}")
+        return 1 if stale else 0
+    if argv:
+        print("usage: make_goldens.py [--check]", file=sys.stderr)
+        return 2
+    for rel in generate(root):
+        print(rel)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
