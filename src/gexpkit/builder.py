@@ -738,11 +738,16 @@ _PRIMITIVES = _primitives()
 
 def mini_eval(program, env: Optional[EvalEnv] = None):
     """Evaluate one form or a sequence of forms, returning the last value."""
+    return _python_lists(_evaluate(program, env))
+
+
+def _evaluate(program, env: Optional[EvalEnv] = None):
+    """`mini_eval`'s last value with its lists still evaluator pairs: a
+    build discards it, and converting lists that share tails copies them."""
     forms = program if isinstance(program, (list, tuple)) else [program]
     evaluator = _Evaluator(env or EvalEnv())
     try:
-        return _python_lists(
-            evaluator.run(_compile_body(forms), evaluator.globals))
+        return evaluator.run(_compile_body(forms), evaluator.globals)
     except RecursionError:
         # The compiler recurses on the nesting of code, and printing on
         # the nesting of lists in lists; program calls, module loading
@@ -774,7 +779,7 @@ def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:
             raise BuildError(f"cannot read builder of {drv.name}: {exc}",
                              derivation=drv_path) from exc
         try:
-            mini_eval(forms, env)
+            _evaluate(forms, env)
         except BuildError as exc:
             raise BuildError(f"builder for {drv.name} failed: {exc}",
                              derivation=drv_path) from exc

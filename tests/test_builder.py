@@ -551,6 +551,23 @@ class TestBuild:
         assert not Path(str(d.outputs["out"])).exists()
         assert plan(store, d) == [write_derivation(store, d)]
 
+    def test_final_value_of_tail_sharing_lists_is_not_converted(
+            self, store, monkeypatch):
+        # The build discards the builder's last value.  Converted to Python
+        # lists, these 4,000 lists sharing tails copy about 8 million
+        # items (0.16 s against 0.04 s for the loop).
+        def no_conversion(value):
+            raise AssertionError("a build converted the builder's last value")
+
+        monkeypatch.setattr(builder, "_python_lists", no_conversion)
+        d = simple_derivation(store, "tails", body="""
+            (begin
+              (mkdir #$output)
+              (let loop ((i 0) (x '()) (acc '()))
+                (if (= i 4000) acc (loop (+ i 1) (cons i x) (cons x acc)))))""")
+        with time_limit(2.0):
+            assert os.path.isdir(str(build(store, d)["out"]))
+
     def test_builder_sees_system_and_tmpdir(self, store):
         d = simple_derivation(store, "probe", body="""
             (begin
