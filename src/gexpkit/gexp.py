@@ -1,14 +1,14 @@
 """Staged code with escapes: construction, hygiene, and serialization.
 
-A gexp is a staged program fragment.  Staging makes two passes over
-the source:
+A gexp is a staged program fragment.  Staging hashes the source, then
+makes one walk over it that does three things at once:
 
 1. deterministic alpha-renaming of every identifier bound by a
    recognized binding construct (hygiene),
 2. compilation of the renamed body into a template (a closure that maps
    one resolved value per escape to the final residual, without ever
-   re-traversing the body) and, in the same walk, collection of the
-   escape forms (``ungexp`` and friends).
+   re-traversing the body; subtrees without an escape are constants),
+3. collection of the escape forms (``ungexp`` and friends).
 
 The escapes' host expressions are then evaluated left to right in the
 host environment.
@@ -22,12 +22,13 @@ applies the template.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from types import FunctionType
 from typing import Callable, Mapping, Optional
 
 from .modules import ModuleName, _arity, _arity_message, coerce_module_names
 from .sexp import (Boolean, Digest, Integer, Keyword, Sexp, SList, String,
-                   Symbol, hash_sexp, print_canonical, slist)
+                   Symbol, _slist, _symbol, hash_sexp, print_canonical, slist)
 
 
 class StagingError(Exception):
@@ -43,6 +44,7 @@ UNGEXP_HEADS = {
 }
 
 BINDING_HEADS = ("lambda", "let", "let*", "letrec", "letrec*", "define")
+_OUTPUT = _symbol("output")
 
 
 @dataclass
@@ -134,7 +136,7 @@ def _head_name(expr: Sexp) -> Optional[str]:
 
 
 class _Renamer:
-    """Alpha-renaming walk.
+    """Alpha-renaming walk that also compiles the template.
 
     Bound identifiers become ``<name>-<tag>-<depth>`` where the tag is
     the first four hex digits of the source digest and depth counts the
@@ -154,10 +156,14 @@ class _Renamer:
     and reactivates under ``unquote`` at the matching level.  Binder
     handling likewise only happens at level zero, so quoted lists that
     merely look like ``let`` forms stay data.
+
+    Each method returns the walked node with its template code (see
+    `_join`).  ``escapes`` collects the staged (not foreign) escapes.
     """
 
     def __init__(self, tag: str):
         self.tag = tag
+        self.escapes: list[SList] = []
 
     def rename(self, name: str, depth: int) -> str:
         return f"{name}-{self.tag}-{depth}"
@@ -175,18 +181,24 @@ class _Renamer:
     def staged(self, expr, env, depth, qlevel, foreign):
         if isinstance(expr, Symbol):
             if qlevel == 0 and expr.name in env:
-                return Symbol(env[expr.name])
-            return expr
+                return _symbol(env[expr.name]), None
+            return expr, None
         if not isinstance(expr, SList) or not expr.items:
-            return expr
+            return expr, None
+        items = expr.items
         head = _head_name(expr)
-        if head in ("quote", "quasiquote") and len(expr) == 2:
-            return slist(expr[0], self.staged(expr[1], env, depth, qlevel + 1, foreign))
-        if head in ("unquote", "unquote-splicing") and len(expr) == 2 and qlevel > 0:
-            return slist(expr[0], self.staged(expr[1], env, depth, qlevel - 1, foreign))
+        if head in ("quote", "quasiquote") and len(items) == 2:
+            return _join(expr, [(items[0], None), self.staged(
+                items[1], env, depth, qlevel + 1, foreign)])
+        if head in ("unquote", "unquote-splicing") and len(items) == 2 and qlevel > 0:
+            return _join(expr, [(items[0], None), self.staged(
+                items[1], env, depth, qlevel - 1, foreign)])
         if head in UNGEXP_HEADS:
-            rest = tuple(self.host(item, env) for item in expr.items[1:])
-            return SList((expr.items[0],) + rest)
+            node, _ = _join(expr, [self.host(item, env) for item in items])
+            if foreign:
+                return node, None
+            self.escapes.append(node)
+            return node, len(self.escapes) - 1
         if head == "gexp":
             raise StagingError(
                 "literal (gexp ...) in staged position; nest gexps through escapes")
@@ -195,25 +207,25 @@ class _Renamer:
             if result is not None:
                 return result
         if head == "begin" and qlevel == 0:
-            return SList((expr.items[0],)
-                         + self.body(expr.items[1:], env, depth, qlevel, foreign))
-        return SList(tuple(self.staged(item, env, depth, qlevel, foreign)
-                           for item in expr.items))
+            return _join(expr, [(items[0], None)]
+                         + self.body(items[1:], env, depth, qlevel, foreign))
+        return _join(expr, [self.staged(item, env, depth, qlevel, foreign)
+                            for item in items])
 
     def body(self, forms, env, depth, qlevel, foreign):
         """Walk a body sequence; internal defines scope over the whole
         sequence (through nested begins)."""
         defined = _scan_defines(forms)
         env = self.bind(env, defined, depth, foreign) if defined else env
-        return tuple(self.staged(form, env, depth, qlevel, foreign) for form in forms)
+        return [self.staged(form, env, depth, qlevel, foreign) for form in forms]
 
     def binder(self, head, expr, env, depth, foreign):
         items = expr.items
         if head == "lambda" and len(items) >= 3 and _param_list(items[1]) is not None:
-            params = _param_list(items[1])
-            inner = self.bind(env, params, depth, foreign)
-            new_params = SList(tuple(Symbol(inner.get(p.name, p.name)) for p in items[1]))
-            return SList((items[0], new_params)
+            inner = self.bind(env, _param_list(items[1]), depth, foreign)
+            params = _join(items[1], [self.staged(p, inner, depth, 0, foreign)
+                                      for p in items[1].items])
+            return _join(expr, [(items[0], None), params]
                          + self.body(items[2:], inner, depth + 1, 0, foreign))
         if head in ("let", "let*", "letrec", "letrec*"):
             return self.let_form(head, expr, env, depth, foreign)
@@ -233,31 +245,27 @@ class _Renamer:
         bindings = _binding_pairs(items[bindings_index])
         if bindings is None:
             return None
-        names = [name.name for name, _ in bindings]
+        names = [pair.items[0].name for pair in bindings]
         bound = names + ([loop_name] if loop_name else [])
         inner = self.bind(env, bound, depth, foreign)
 
+        # letrec inits see every binding, let* inits the ones before them.
+        init_env = inner if head in ("letrec", "letrec*") else env
         new_pairs = []
-        if head == "let*":
-            # Each init sees the bindings before it.
-            running = env
-            for i, (name, init) in enumerate(bindings):
-                walked = self.staged(init, running, depth + 1, 0, foreign)
-                running = self.bind(running, [name.name], depth, foreign)
-                new_pairs.append(slist(Symbol(running.get(name.name, name.name)), walked))
-            inner = running
-        else:
-            init_env = inner if head in ("letrec", "letrec*") else env
-            for name, init in bindings:
-                walked = self.staged(init, init_env, depth + 1, 0, foreign)
-                new_pairs.append(slist(Symbol(inner.get(name.name, name.name)), walked))
+        for pair in bindings:
+            name, init = pair.items
+            walked = self.staged(init, init_env, depth + 1, 0, foreign)
+            if head == "let*":
+                init_env = self.bind(init_env, [name.name], depth, foreign)
+            new_pairs.append(_join(pair, [
+                self.staged(name, inner, depth, 0, foreign), walked]))
 
-        parts = [items[0]]
+        parts = [(items[0], None)]
         if loop_name is not None:
-            parts.append(Symbol(inner.get(loop_name, loop_name)))
-        parts.append(SList(tuple(new_pairs)))
+            parts.append(self.staged(items[1], inner, depth, 0, foreign))
+        parts.append(_join(items[bindings_index], new_pairs))
         parts.extend(self.body(items[bindings_index + 1:], inner, depth + 1, 0, foreign))
-        return SList(tuple(parts))
+        return _join(expr, parts)
 
     def define_form(self, expr, env, depth, foreign):
         items = expr.items
@@ -267,10 +275,10 @@ class _Renamer:
             # a sequence; otherwise bind it here (letrec-style).
             if target.name not in env or foreign:
                 env = self.bind(env, [target.name], depth, foreign)
-            new_name = Symbol(env.get(target.name, target.name))
-            value = tuple(self.staged(i, env, depth + 1, 0, foreign)
-                          for i in items[2:])
-            return SList((items[0], new_name) + value)
+            name = self.staged(target, env, depth, 0, foreign)
+            return _join(expr, [(items[0], None), name]
+                         + [self.staged(i, env, depth + 1, 0, foreign)
+                            for i in items[2:]])
         if (isinstance(target, SList) and target.items
                 and all(isinstance(p, Symbol) for p in target.items)):
             fname = target.items[0].name
@@ -278,9 +286,9 @@ class _Renamer:
                 env = self.bind(env, [fname], depth, foreign)
             params = [p.name for p in target.items[1:]]
             inner = self.bind(env, params, depth + 1, foreign)
-            new_target = SList(tuple(Symbol(inner.get(p.name, p.name))
-                                     for p in target.items))
-            return SList((items[0], new_target)
+            new_target = _join(target, [self.staged(p, inner, depth, 0, foreign)
+                                        for p in target.items])
+            return _join(expr, [(items[0], None), new_target]
                          + self.body(items[2:], inner, depth + 2, 0, foreign))
         return None
 
@@ -288,15 +296,48 @@ class _Renamer:
 
     def host(self, expr, env):
         if not isinstance(expr, SList) or not expr.items:
-            return expr
+            return expr, None
         head = _head_name(expr)
         if head == "gexp" and len(expr) == 2:
-            return slist(expr.items[0], self.staged(expr.items[1], env, 0, 0, True))
+            return _join(expr, [(expr.items[0], None),
+                                self.staged(expr.items[1], env, 0, 0, True)])
         if head in UNGEXP_HEADS:
             raise StagingError(f"{head} outside any gexp")
         if head == "quote" and len(expr) == 2:
-            return expr
-        return SList(tuple(self.host(item, env) for item in expr.items))
+            return expr, None
+        return _join(expr, [self.host(item, env) for item in expr.items])
+
+
+def _join(expr: SList, parts: list) -> tuple:
+    """The walked list *expr* and its template code, from one walked
+    (node, code) pair per item: *expr* itself when no item changed.  A
+    code tells `_fill` how to make a node from the escape values: None
+    for a constant, an escape's index, or the items' nodes and codes."""
+    if not parts:
+        return expr, None
+    nodes, codes = zip(*parts)
+    if not all(map(is_, nodes, expr.items)):
+        expr = _slist(nodes)
+    return expr, None if codes.count(None) == len(codes) else (nodes, codes)
+
+
+def _fill(nodes: tuple, codes: tuple, args) -> SList:
+    """The list whose items *nodes* and *codes* (see `_join`) describe,
+    made with the escape values *args*."""
+    items, make = [], _slist
+    for node, code in zip(nodes, codes):
+        if code is None:
+            items.append(node)
+        elif type(code) is not int:
+            items.append(_fill(*code, args))
+        elif UNGEXP_HEADS[node.items[0].name][1]:
+            if not isinstance(args[code], SList):
+                raise StagingError("splicing escape did not resolve to a list")
+            items.extend(args[code].items)
+        else:  # the public constructor checks what the resolver returned
+            items.append(args[code])
+            make = SList
+    return make(tuple(items))
 
 
 def _scan_defines(forms) -> list[str]:
@@ -322,16 +363,14 @@ def _param_list(expr):
 
 
 def _binding_pairs(expr):
+    """The ``(name init)`` pairs of a binding list, or None."""
     if not isinstance(expr, SList):
         return None
-    pairs = []
     for item in expr.items:
-        if (isinstance(item, SList) and len(item) == 2
+        if not (isinstance(item, SList) and len(item) == 2
                 and isinstance(item.items[0], Symbol)):
-            pairs.append((item.items[0], item.items[1]))
-        else:
             return None
-    return pairs
+    return expr.items
 
 
 def alpha_rename(body: Sexp, digest: Digest) -> Sexp:
@@ -341,7 +380,7 @@ def alpha_rename(body: Sexp, digest: Digest) -> Sexp:
     pre-rename source) and each binder's nesting depth, so staging the
     same source twice yields byte-identical residuals.
     """
-    return _Renamer(digest.hex[:4]).staged(body, {}, 0, 0, False)
+    return _Renamer(digest.hex[:4]).staged(body, {}, 0, 0, False)[0]
 
 
 def _parse_escape(form: SList) -> EscapeRef:
@@ -349,9 +388,9 @@ def _parse_escape(form: SList) -> EscapeRef:
     host expression."""
     native, splicing = UNGEXP_HEADS[form.items[0].name]
     args = form.items[1:]
-    if len(args) == 1 and args[0] == Symbol("output"):
+    if len(args) == 1 and args[0] == _OUTPUT:
         return EscapeRef(OutputName("out"), native, splicing)
-    if (len(args) == 2 and args[0] == Symbol("output")
+    if (len(args) == 2 and args[0] == _OUTPUT
             and isinstance(args[1], String)):
         return EscapeRef(OutputName(args[1].value), native, splicing)
     if len(args) == 1:
@@ -359,47 +398,42 @@ def _parse_escape(form: SList) -> EscapeRef:
     raise StagingError(f"malformed escape: {print_canonical(form)}")
 
 
+def _template(node: Sexp, code, forms: list) -> tuple[Template, list[EscapeRef]]:
+    """The template of a walked body (*node* with its *code*, see
+    `_join`) and the parsed escape *forms*."""
+    escapes = [_parse_escape(form) for form in forms]
+    if code is None:
+        return Template(lambda args: node, len(escapes)), escapes
+    if type(code) is int:
+        if escapes[code].splicing:
+            raise StagingError("splicing escape cannot be the whole gexp body")
+        return Template(lambda args: args[code], len(escapes)), escapes
+    return Template(lambda args: _fill(*code, args), len(escapes)), escapes
+
+
 def substitute_escapes(body: Sexp) -> tuple[Template, list[EscapeRef]]:
     """Compile *body* into a template with one hole per escape, and
     return it with the escapes in left-to-right depth-first order.
 
-    Escape positions are fixed at compile time; applying the template
-    only assembles the result, it never searches the body again.
+    Escape positions are fixed at compile time, and subtrees without an
+    escape are constants of the template: applying it builds only the
+    lists that hold an escape, and never searches the body again.
     Quotation does not stop the walk (escapes under quote are still
     escapes), and an escape's host expression is not entered, so
     escapes of a nested ``(gexp ...)`` there belong to that inner gexp.
+    `stage` compiles its template in the renaming walk instead.
     """
-    escapes: list[EscapeRef] = []
+    forms: list[SList] = []
 
-    def compile_node(expr):
+    def walk(expr):
         if isinstance(expr, SList) and expr.items:
             if _head_name(expr) in UNGEXP_HEADS:
-                escape = _parse_escape(expr)
-                escapes.append(escape)
-                index = len(escapes) - 1
-                return (lambda args, i=index: args[i]), escape.splicing
-            parts = [compile_node(item) for item in expr.items]
+                forms.append(expr)
+                return expr, len(forms) - 1
+            return _join(expr, [walk(item) for item in expr.items])
+        return expr, None
 
-            def build(args, parts=parts):
-                items = []
-                for fn, splice in parts:
-                    value = fn(args)
-                    if splice:
-                        if not isinstance(value, SList):
-                            raise StagingError(
-                                "splicing escape did not resolve to a list")
-                        items.extend(value.items)
-                    else:
-                        items.append(value)
-                return SList(tuple(items))
-
-            return build, False
-        return (lambda args, e=expr: e), False
-
-    fn, splicing = compile_node(body)
-    if splicing:
-        raise StagingError("splicing escape cannot be the whole gexp body")
-    return Template(fn, len(escapes)), escapes
+    return _template(*walk(body), forms)
 
 
 def classify(value) -> object:
@@ -483,16 +517,19 @@ def eval_host(expr: Sexp, env: HostEnv, imported_modules=()):
 def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:
     """Stage *source* into a Gexp.
 
-    Renames binders, compiles the template while collecting the
-    escapes, then evaluates each escape's host expression left to
-    right in *env*.  A nested ``(gexp ...)`` inside a host expression
-    stages at this moment; lowering of embedded objects stays deferred
-    until serialization.
+    One walk renames binders, compiles the template (escape-free
+    subtrees become its constants) and collects the escapes; then each
+    escape's host expression is evaluated left to right in *env*.  A
+    nested ``(gexp ...)`` inside a host expression stages at this
+    moment; lowering of embedded objects stays deferred until
+    serialization.
     """
     env = as_host_env(env)
     modules = coerce_module_names(list(imported_modules)) if imported_modules else ()
     digest = hash_sexp(source)
-    template, escapes = substitute_escapes(alpha_rename(source, digest))
+    renamer = _Renamer(digest.hex[:4])
+    template, escapes = _template(*renamer.staged(source, {}, 0, 0, False),
+                                  renamer.escapes)
     outputs: list[str] = []
     for i, esc in enumerate(escapes):
         if isinstance(esc.payload, OutputName):

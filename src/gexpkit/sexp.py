@@ -18,10 +18,15 @@ Comments run from ``;`` to end of line and are discarded: two sources
 differing only in comments or whitespace read to equal values and
 therefore hash identically.
 
-The reader is one loop over the matches of one token regex, with an
-explicit stack of open lists, so nesting depth is bounded by memory,
-not by Python's recursion limit.  Line and column are worked out from
-the match offset only when a ParseError is raised.
+The reader is one loop over the tokens of one ``findall`` pass, with
+an explicit stack of open lists, so nesting depth is bounded by memory,
+not by Python's recursion limit.  A token's offset, line and column are
+worked out only when a ParseError is raised.
+
+Where the checks run: the public constructors check their values.  The
+reader, and the staging walk and templates in ``gexp``, build only valid
+nodes, so they skip those checks through ``_symbol`` and ``_slist``.
+Within one read, equal atom tokens share one node.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -54,17 +60,16 @@ class Sexp:
     """Base class for the six value kinds."""
 
 
+# A non-empty atom token that is not "#"-led; group 1 is the character
+# after an optional sign, which str.isdigit must reject (such tokens lex
+# as numbers).
+_SYMBOL_TEXT = r"(?!#|\Z)[+-]?([^ \t\n\r()\";'`,]?)[^ \t\n\r()\";'`,]*"
+
+
 def symbol_text_ok(text: str) -> bool:
     """True when *text* survives a print/read round trip as a symbol."""
-    if not text or text.startswith("#"):
-        return False
-    if any(c in _DELIMITERS for c in text):
-        return False
-    head = text[1:] if text[0] in "+-" else text
-    # Digit-leading tokens always lex as numbers, never as symbols.
-    if head and head[:1].isdigit():
-        return False
-    return True
+    m = re.fullmatch(_SYMBOL_TEXT, text)  # compiled once, by re's cache
+    return m is not None and not m[1].isdigit()
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,22 @@ def slist(*items: Sexp) -> SList:
     return SList(tuple(items))
 
 
+def _unchecked(cls, field: str):
+    """A constructor of *cls* that skips its checks, for callers that
+    only build valid nodes."""
+    new = object.__new__
+
+    def make(value):
+        node = new(cls)
+        node.__dict__[field] = value
+        return node
+    return make
+
+
+_symbol = _unchecked(Symbol, "name")
+_slist = _unchecked(SList, "items")
+
+
 # Blanks and comments, then one token: a parenthesis, a closed string, a
 # lone quote (an unterminated string), a shorthand prefix, or an atom.
 _TOKEN = re.compile(r'''
@@ -145,7 +166,7 @@ _TOKEN = re.compile(r'''
     | [^ \t\n\r()";'`,]+
     )?''', re.VERBOSE | re.DOTALL)
 
-_PREFIXES = {token: Symbol(head) for token, head in {
+_PREFIXES = {token: _symbol(head) for token, head in {
     "'": "quote", "`": "quasiquote", ",": "unquote",
     ",@": "unquote-splicing", "#~": "gexp", "#$": "ungexp",
     "#$@": "ungexp-splicing", "#+": "ungexp-native",
@@ -154,89 +175,99 @@ _PREFIXES = {token: Symbol(head) for token, head in {
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
+def _offset(text: str, index: int) -> int:
+    """Where token *index* starts: only errors need it, so it rematches."""
+    m = next(islice(_TOKEN.finditer(text), index, None))
+    return m.end() if m[1] is None else m.start(1)
+
+
+def _error(text: str, index: int, message: str, skip: int = 0) -> ParseError:
+    """A ParseError *skip* characters after the start of token *index*."""
+    offset = _offset(text, index) + skip
     return ParseError(message, text.count("\n", 0, offset) + 1,
                       offset - text.rfind("\n", 0, offset))
 
 
-def _unescape(text: str, start: int, end: int) -> str:
-    """The value of the string literal body text[start:end]."""
+def _unescape(body: str, text: str, index: int) -> str:
+    """The value of the *body* after the opening quote of token *index*."""
     def unescape(m):
         if m[1] not in _STRING_ESCAPES:
-            raise _error(text, start + m.end(),
-                         f"unsupported string escape: \\{m[1]}")
+            raise _error(text, index, f"unsupported string escape: \\{m[1]}",
+                         1 + m.end())
         return _STRING_ESCAPES[m[1]]
-    return _ESCAPE.sub(unescape, text[start:end])
+    return _ESCAPE.sub(unescape, body)
 
 
-def _atom(token: str, text: str, start: int) -> Sexp:
+def _atom(token: str, text: str, index: int) -> Sexp:
+    """The node of atom token *index* (a string literal included)."""
+    if token[0] == '"':
+        if len(token) == 1:  # a quote that no quote closes
+            _unescape(text[_offset(text, index) + 1:], text, index)
+            raise _error(text, index, "unterminated string")
+        return String(_unescape(token[1:-1], text, index))
     if token == "#t":
         return Boolean(True)
     if token == "#f":
         return Boolean(False)
     if token.startswith("#:"):
         if len(token) == 2:
-            raise _error(text, start, "empty keyword")
+            raise _error(text, index, "empty keyword")
         return Keyword(token[2:])
     if token.startswith("#"):
-        raise _error(text, start, f"unsupported # syntax: {token}")
+        raise _error(text, index, f"unsupported # syntax: {token}")
     if _INTEGER_RE.fullmatch(token):
         value = int(token)
         if not INT64_MIN <= value <= INT64_MAX:
-            raise _error(text, start,
+            raise _error(text, index,
                          f"integer out of signed 64-bit range: {token}")
         return Integer(value)
     head = token[1:] if token[0] in "+-" else token
     if head[:1].isdigit():
-        raise _error(text, start, f"invalid numeric literal: {token}")
-    return Symbol(token)
+        raise _error(text, index, f"invalid numeric literal: {token}")
+    return _symbol(token)
 
 
 def _read(text: str, one: bool) -> list[Sexp]:
-    """Read data left to right with one token regex and an explicit
-    stack, so nesting depth is bounded by memory alone.  With *one*, stop
-    after the first datum and reject anything but blanks after it."""
+    """Read data left to right over the tokens, with an explicit stack, so
+    nesting depth is bounded by memory alone.  With *one*, stop after the
+    first datum and reject anything but blanks after it."""
+    # Every token is non-empty but the last ones, which mark the end.
+    tokens = _TOKEN.findall(text)
+    atoms: dict[str, Sexp] = {}  # token -> node, so equal atoms share one
     top: list[Sexp] = []
     # One entry per open list, the top level first: its items, the
-    # offset of its "(", and the prefixes still waiting for a datum.
+    # index of its "(" token, and the prefixes still waiting for a datum.
     stack = [(top, 0, [])]
     items, _, waiting = stack[-1]
-    pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
-        token, start, pos = m[1], m.start(1), m.end()
-        if token is None:
-            if waiting or (one and len(stack) == 1):
-                raise _error(text, pos, "unexpected end of input")
-            if len(stack) > 1:
-                raise _error(text, stack[-1][1], "unterminated list")
-            return top
+    for index, token in enumerate(tokens):
         if token == "(":
             items, waiting = [], []
-            stack.append((items, start, waiting))
+            stack.append((items, index, waiting))
             continue
         if token == ")":
             if waiting or len(stack) == 1:
-                raise _error(text, start, "unexpected )")
-            value = SList(tuple(stack.pop()[0]))
+                raise _error(text, index, "unexpected )")
+            value = _slist(tuple(stack.pop()[0]))
             items, _, waiting = stack[-1]
-        elif token in _PREFIXES:
-            waiting.append(_PREFIXES[token])
-            continue
-        elif token == '"':
-            _unescape(text, pos, len(text))
-            raise _error(text, start, "unterminated string")
-        elif token[0] == '"':
-            value = String(_unescape(text, start + 1, pos - 1))
         else:
-            value = _atom(token, text, start)
+            value = atoms.get(token)
+            if value is None:
+                if token in _PREFIXES:
+                    waiting.append(_PREFIXES[token])
+                    continue
+                if not token:
+                    if waiting or (one and len(stack) == 1):
+                        raise _error(text, index, "unexpected end of input")
+                    if len(stack) > 1:
+                        raise _error(text, stack[-1][1], "unterminated list")
+                    return top
+                value = atoms[token] = _atom(token, text, index)
         while waiting:
-            value = SList((waiting.pop(), value))
+            value = _slist((waiting.pop(), value))
         items.append(value)
         if one and len(stack) == 1:
-            rest = _TOKEN.match(text, pos)
-            if rest[1] is not None:
-                raise _error(text, rest.start(1), "trailing data after datum")
+            if tokens[index + 1]:
+                raise _error(text, index + 1, "trailing data after datum")
             return top
 
 

@@ -87,6 +87,22 @@ class TestEscapeCollection:
             stage(read(source), {"record": record, "a": 1, "b": 2})
         assert calls == []
 
+    @pytest.mark.parametrize("source, error", [
+        ("(a (b #$x))", ValueError),
+        ("(a (b #$@x))", StagingError),
+    ], ids=["placed", "spliced"])
+    def test_template_checks_what_the_resolver_returns(self, source, error):
+        g = stage(read(source), {"x": Thing()})
+        with pytest.raises(error):
+            gexp_to_sexp(g, SYSTEM, None, lambda obj, system, target: "text")
+
+    def test_escape_free_subtrees_are_template_constants(self):
+        g = stage(read("(begin (a (b c)) (d #$x))"), {"x": 1})
+        first, second = gexp_to_sexp(g, SYSTEM), gexp_to_sexp(g, SYSTEM)
+        assert print_canonical(first) == "(begin (a (b c)) (d 1))"
+        assert first.items[1] is second.items[1]
+        assert first.items[2] is not second.items[2]
+
     def test_literal_gexp_in_staged_position_rejected(self):
         with pytest.raises(StagingError):
             stage(read("(list (gexp x))"))
@@ -103,6 +119,12 @@ class TestRenaming:
         g = stage(read(src))
         assert residual(g) == (
             f"(lambda (x-{tag}-0) (lambda (x-{tag}-1) x-{tag}-1))")
+
+    def test_unchanged_lists_are_kept(self):
+        body = read("(f (g 1) (let ((x 1)) x))")
+        renamed = alpha_rename(body, hash_sexp(body))
+        assert renamed.items[1] is body.items[1]
+        assert renamed.items[2] is not body.items[2]
 
     def test_free_symbols_untouched(self):
         g = stage(read("(+ x y)"))

@@ -1,14 +1,16 @@
 import hashlib
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from gexpkit import (Boolean, Integer, Keyword, ParseError, SList, String,
-                     Symbol, hash_sexp, print_canonical, read, read_all,
-                     slist)
+                     Symbol, alpha_rename, gexp_to_sexp, hash_sexp,
+                     print_canonical, read, read_all, slist, stage)
+from gexpkit.sexp import symbol_text_ok
 
-from strategies import sexps
+from strategies import builder_programs, sexps
 
 
 def sym(name):
@@ -236,3 +238,69 @@ class TestHash:
     @settings(max_examples=60)
     def test_equal_values_hash_equal(self, value):
         assert hash_sexp(value) == hash_sexp(read(print_canonical(value)))
+
+
+def rebuilt(value):
+    """*value* made again through the public, checking constructors."""
+    if isinstance(value, SList):
+        return replace(value, items=tuple(rebuilt(item) for item in value.items))
+    return replace(value)
+
+
+def symbol_text_ok_per_character(text):
+    """The per-character predicate that `symbol_text_ok`'s regex
+    replaced, kept as its oracle."""
+    if not text or text.startswith("#"):
+        return False
+    if any(c in " \t\n\r()\";'`," for c in text):
+        return False
+    head = text[1:] if text[0] in "+-" else text
+    # Digit-leading tokens always lex as numbers, never as symbols.
+    if head and head[:1].isdigit():
+        return False
+    return True
+
+
+# Every character below U+20000 that str.isdigit accepts but that is not
+# an ASCII digit: superscripts, circled digits, the decimal digits of
+# other scripts (the last one is U+1FBF9).
+OTHER_DIGITS = [c for c in map(chr, range(0x80, 0x20000)) if c.isdigit()]
+
+
+class TestConstruction:
+    """The reader and staging build nodes without the public checks;
+    the public constructors keep them."""
+
+    @given(sexps, builder_programs)
+    @settings(max_examples=80)
+    def test_built_nodes_pass_the_public_checks(self, value, program):
+        [read_back] = read_all(print_canonical(value))
+        body = SList((Symbol("begin"), *program,
+                      read("(list #$x #$@xs #+(f #~(g #$x)))")))
+        g = stage(body, {"x": "s", "xs": [1, Symbol("y")],
+                         "f": lambda inner: [inner, 2]})
+        residual = gexp_to_sexp(g, "x86_64-linux")
+        for node in (read_back, alpha_rename(body, hash_sexp(body)), residual):
+            assert rebuilt(node) == node
+
+    @pytest.mark.parametrize("make, argument", [
+        (Symbol, "1a"), (Symbol, "a b"), (Symbol, "#x"), (SList, [1]),
+        (Integer, 2**63), (Keyword, "")])
+    def test_public_constructors_still_check(self, make, argument):
+        with pytest.raises(ValueError):
+            make(argument)
+
+    @given(st.lists(st.sampled_from(
+        ["a", "x-1", "+", "-", "#", "1", "9", "\u00b2", "\u0661", "\u2460",
+         " ", "\t", "\n", "\r", "(", ")", '"', ";", "'", "`", ",", "\u00e9"]),
+        max_size=4).map("".join))
+    @settings(max_examples=400)
+    def test_symbol_text_ok_agrees_with_the_per_character_predicate(self, text):
+        assert symbol_text_ok(text) == symbol_text_ok_per_character(text)
+
+    def test_symbol_text_ok_rejects_every_digit_after_an_optional_sign(self):
+        assert not symbol_text_ok("\u00b2x") and not symbol_text_ok("+\u0661")
+        assert len(OTHER_DIGITS) > 100
+        for c in OTHER_DIGITS + list("0123456789"):
+            for text in (c, c + "x", "+" + c, "-" + c + "a", "++" + c, "a" + c):
+                assert symbol_text_ok(text) == symbol_text_ok_per_character(text)
