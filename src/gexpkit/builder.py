@@ -1,7 +1,7 @@
-"""The build tier: a small strict evaluator for builder programs, and
-`_run_builder`, which runs one derivation's builder.  The plan and the
-build loop are `store.build`, which imports this module only when some
-derivation's outputs are missing.
+"""The build tier's evaluator for builder programs: a program and an
+`EvalEnv` in, a value or a `BuildError` out; it knows nothing of stores
+or derivations.  `store._realise` runs a member's builder with it, and
+imports this module only when some derivation's outputs are missing.
 
 The evaluator compiles each form once into flat instructions, which
 push the variables and constants they consume before they run, and runs
@@ -10,26 +10,22 @@ position, named-let loops included, replace the current call, so loops
 run in constant space; other calls may nest MAX_CALL_DEPTH deep.  Lists
 are immutable pairs ``(car, cdr)``; `mini_eval` returns Python lists.
 
-Builders run hermetically: the only ambient state they see is the
-variable map handed to the evaluator (output paths, SYSTEM, TARGET,
-MODULE_PATH, TMPDIR), reached through ``getenv``.  Outputs are produced
-in a staging directory and moved into the store only after the builder
-finishes and every declared output exists.
+Programs run hermetically: the only ambient state they see is the
+variable map in their `EvalEnv`, reached through ``getenv``.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .modules import (ModuleError, ModuleName, _arity, _arity_message,
                       load_module)
 from .sexp import (INT64_MAX, INT64_MIN, Boolean, Integer, Keyword, ParseError,
-                   Sexp, SList, String, Symbol, read_all)
-from .store import BuildError, Derivation, Store, rmtree_rw
+                   Sexp, SList, String, Symbol)
+from .store import BuildError
 
 
 @dataclass
@@ -754,42 +750,3 @@ def _evaluate(program, env: Optional[EvalEnv] = None):
         # and quoted data never recurse on the host stack.
         raise BuildError("recursion limit exceeded in builder program") from None
 
-
-def _run_builder(store: Store, drv: Derivation, drv_path: str) -> None:
-    base_dir = os.getcwd()
-    tmp = tempfile.mkdtemp(prefix=f"gexpkit-build-{drv.name}-")
-    try:
-        staging = {name: os.path.join(tmp, f"out-{name}") for name in drv.outputs}
-        variables = dict(drv.env)
-        variables.update(staging)
-        variables["SYSTEM"] = drv.system
-        if drv.target is not None:
-            variables["TARGET"] = drv.target
-        variables["TMPDIR"] = tmp
-        module_path = tuple(
-            p for p in variables.get("MODULE_PATH", "").split(":") if p)
-        env = EvalEnv(variables=variables, module_path=module_path,
-                      base_dir=base_dir)
-
-        builder_file = os.path.join(base_dir, str(drv.builder))
-        try:
-            with open(builder_file, "r", encoding="utf-8") as fh:
-                forms = read_all(fh.read())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise BuildError(f"cannot read builder of {drv.name}: {exc}",
-                             derivation=drv_path) from exc
-        try:
-            _evaluate(forms, env)
-        except BuildError as exc:
-            raise BuildError(f"builder for {drv.name} failed: {exc}",
-                             derivation=drv_path) from exc
-
-        for name in drv.outputs:
-            if not os.path.exists(staging[name]):
-                raise BuildError(
-                    f"builder for {drv.name} did not produce output '{name}'",
-                    derivation=drv_path)
-        for name, final in drv.outputs.items():
-            store.commit(final, lambda tmp: shutil.move(staging[name], tmp))
-    finally:
-        rmtree_rw(tmp)

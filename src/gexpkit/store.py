@@ -21,10 +21,13 @@ The build plan lives here too: (``.drv`` path, outputs) for each
 member of a derivation's closure, dependencies first.  The CLI's plan
 is the order its lowering wrote the closure in, each package's inputs
 in the order its gexp names them; `plan` and `build` of a `Derivation`
-walk the store instead, inputs in ``.drv`` text order.  `build` takes
-the derivation of a member whose outputs are missing from the memo, or
-else reads its ``.drv``, and imports the evaluator (``builder``) only
-then, so a build that finds everything built never loads it.
+walk the store instead, inputs in ``.drv`` text order.  `build` runs
+the plan, and `_realise` builds one member whose outputs are missing:
+it imports the evaluator (``builder``) only then, so a build that finds
+everything built never loads it.  The builder sees the derivation's
+env, SYSTEM, TARGET, TMPDIR, and its outputs as paths in a staging
+directory; they are committed to the store only after it finishes and
+every declared output exists, and the staging directory is removed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .sexp import (Boolean, ParseError, Sexp, SList, String, Symbol,
-                   _quote_string, print_canonical, read)
+                   _quote_string, print_canonical, read, read_all)
 
 DEFAULT_SYSTEM = "x86_64-linux"
 
@@ -427,8 +430,7 @@ def _check_references(store: Store, d: Derivation,
     allowed = {str(p) for p in d.input_sources}
     allowed.update(str(p) for p in d.outputs.values())
     for drv_path, names in d.input_drvs:
-        entry = store.derivations.get(str(drv_path))
-        dep = entry[1] if entry else read_derivation(store, drv_path)
+        dep = _derivation(store, drv_path)
         for out in names:
             if out not in dep.outputs:
                 raise StoreError(
@@ -452,6 +454,12 @@ def read_derivation(store: Store, path) -> Derivation:
     if entry is None or entry[0] != data:
         entry = store.derivations[str(path)] = (data, _parse_derivation(data, path))
     return entry[1]
+
+
+def _derivation(store: Store, path) -> Derivation:
+    """The memo's derivation at *path*, or else the one its ``.drv`` holds."""
+    entry = store.derivations.get(str(path))
+    return entry[1] if entry else read_derivation(store, path)
 
 
 def _parse_derivation(data: bytes, source) -> Derivation:
@@ -525,14 +533,49 @@ def build(store: Store, d: Derivation | list,
     """
     steps = _build_plan(store, d) if isinstance(d, Derivation) else d
     for path, outputs in steps:
-        if _outputs_built(outputs):
-            if log is not None:
-                log.append(("cached", str(path)))
-            continue
-        from .builder import _run_builder
-        entry = store.derivations.get(str(path))
-        _run_builder(store, entry[1] if entry else read_derivation(store, path),
-                     str(path))
+        action = _realise(store, path, outputs)
         if log is not None:
-            log.append(("build", str(path)))
+            log.append((action, str(path)))
     return dict(steps[-1][1])
+
+
+def _realise(store: Store, path, outputs: Mapping) -> str:
+    """Build the plan member *path* unless its *outputs* all exist;
+    return "build" or "cached"."""
+    if _outputs_built(outputs):
+        return "cached"
+    import tempfile
+    from .builder import EvalEnv, _evaluate
+    drv = _derivation(store, path)
+    drv_path = str(path)
+    tmp = tempfile.mkdtemp(prefix=f"gexpkit-build-{drv.name}-")
+    try:
+        staging = {name: os.path.join(tmp, f"out-{name}") for name in drv.outputs}
+        variables = {**drv.env, **staging, "SYSTEM": drv.system, "TMPDIR": tmp}
+        if drv.target is not None:
+            variables["TARGET"] = drv.target
+        module_path = tuple(
+            p for p in variables.get("MODULE_PATH", "").split(":") if p)
+        env = EvalEnv(variables=variables, module_path=module_path,
+                      base_dir=os.getcwd())
+        try:
+            forms = read_all(drv.builder.fs.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BuildError(f"cannot read builder of {drv.name}: {exc}",
+                             derivation=drv_path) from exc
+        try:
+            _evaluate(forms, env)
+        except BuildError as exc:
+            raise BuildError(f"builder for {drv.name} failed: {exc}",
+                             derivation=drv_path) from exc
+
+        for name in drv.outputs:
+            if not os.path.exists(staging[name]):
+                raise BuildError(
+                    f"builder for {drv.name} did not produce output '{name}'",
+                    derivation=drv_path)
+        for name, final in drv.outputs.items():
+            store.commit(final, lambda dest: shutil.move(staging[name], dest))
+    finally:
+        rmtree_rw(tmp)
+    return "build"

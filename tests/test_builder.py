@@ -551,6 +551,31 @@ class TestBuild:
         assert not Path(str(d.outputs["out"])).exists()
         assert plan(store, d) == [write_derivation(store, d)]
 
+    @pytest.mark.parametrize("body", [None, '(error "nope")', "(list 1 2)"],
+                             ids=["built", "error", "no-output"])
+    def test_build_step_cleans_up(self, store, tmp_path, monkeypatch, body):
+        # Whether the builder succeeds, fails or leaves an output out, its
+        # staging directory and the store's commit temporaries are gone.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        real_evaluate = builder._evaluate
+        staged = []
+
+        def evaluate(program, env):
+            staged.append(Path(env.variables["TMPDIR"]))
+            return real_evaluate(program, env)
+
+        monkeypatch.setattr(builder, "_evaluate", evaluate)
+        d = simple_derivation(store, "tidy", body=body)
+        if body is None:
+            assert (Path(str(build(store, d)["out"])) / "tag").exists()
+        else:
+            with pytest.raises(BuildError):
+                build(store, d)
+        [tmp] = staged
+        assert tmp.parent == tmp_path and tmp.name.startswith("gexpkit-build-")
+        assert list(tmp_path.glob("gexpkit-build-*")) == []
+        assert list(Path(store.prefix).glob(".tmp-*")) == []
+
     def test_final_value_of_tail_sharing_lists_is_not_converted(
             self, store, monkeypatch):
         # The build discards the builder's last value.  Converted to Python
@@ -605,16 +630,20 @@ class TestBuild:
     def test_concurrent_builds_of_one_derivation(self, store, monkeypatch):
         # Every builder finishes before any of them registers its output,
         # so each round all threads race to put one directory in the store.
+        # The barrier sits on the evaluator entry the build step calls;
+        # counting who met makes a wrong patch target fail the test.
         workers = 4
         barrier = threading.Barrier(workers)
-        real_eval = builder.mini_eval
+        real_evaluate = builder._evaluate
+        met = []
 
-        def eval_then_meet(*args, **kwargs):
-            result = real_eval(*args, **kwargs)
+        def evaluate_then_meet(*args, **kwargs):
+            result = real_evaluate(*args, **kwargs)
             barrier.wait(timeout=30)
+            met.append(threading.get_ident())
             return result
 
-        monkeypatch.setattr(builder, "mini_eval", eval_then_meet)
+        monkeypatch.setattr(builder, "_evaluate", evaluate_then_meet)
         errors = []
 
         def run(d):
@@ -624,6 +653,7 @@ class TestBuild:
                 errors.append(exc)
 
         for n in range(20):
+            met.clear()
             d = simple_derivation(store, f"race{n}")
             threads = [threading.Thread(target=run, args=(d,))
                        for _ in range(workers)]
@@ -632,6 +662,7 @@ class TestBuild:
             for t in threads:
                 t.join()
             assert not errors, f"round {n}: {errors!r}"
+            assert len(met) == workers, f"round {n}: {len(met)} builders met"
             out = Path(str(d.outputs["out"]))
             assert (out / "tag").read_text() == f"race{n}"
 
