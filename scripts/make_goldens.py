@@ -15,6 +15,8 @@ Outputs:
     tests/golden/first-1.drv         the two-package chain: the embedded
     tests/golden/second.drv          package and the root that binds a let
     tests/fixtures/chain/second.scm  the chain's deployment
+    tests/golden/split.drv           a root with two outputs, "out" and "lib"
+    tests/fixtures/outputs/split.scm its deployment
     tests/fixtures/modules/...       module fixture tree (3-file import chain)
 """
 
@@ -82,21 +84,27 @@ def derivation_text(name, system, target, builder, input_drvs, input_sources,
     return "".join(parts) + ")"
 
 
-def derivation(name, builder_text, input_drvs=(), input_sources=()):
+def derivation(name, builder_text, input_drvs=(), input_sources=(),
+               outputs=("out",)):
     """The .drv text, its store path and the "out" path of a derivation
     whose builder program is *builder_text*, as lowering writes it: the
-    builder is interned as <name>-builder and the output path is hashed
-    over the text with the output fields blanked."""
+    builder is interned as <name>-builder and each output path is hashed
+    over the text with the output fields blanked.  An output other than
+    "out" gets the path name <name>-<output>."""
     builder = store_path("source", builder_text.encode("utf-8"), f"{name}-builder")
+    blanks = {o: "" for o in outputs}
     blank = derivation_text(name, SYSTEM, None, builder, input_drvs, input_sources,
-                            {"out": ""}, {"out": ""})
-    out_fp = (f'output:out:sha256:'
-              f'{hashlib.sha256(blank.encode("utf-8")).hexdigest()}:{name}')
-    out_hash = base32(hashlib.sha256(out_fp.encode("utf-8")).digest()[:20])
-    out_path = f"{PREFIX}/{out_hash}-{name}"
+                            blanks, blanks)
+    blank_hex = hashlib.sha256(blank.encode("utf-8")).hexdigest()
+    paths = {}
+    for o in outputs:
+        out_fp = f"output:{o}:sha256:{blank_hex}:{name}"
+        out_hash = base32(hashlib.sha256(out_fp.encode("utf-8")).digest()[:20])
+        paths[o] = f"{PREFIX}/{out_hash}-{name if o == 'out' else f'{name}-{o}'}"
     final = derivation_text(name, SYSTEM, None, builder, input_drvs, input_sources,
-                            {"out": out_path}, {"out": out_path})
-    return final, store_path("text", final.encode("utf-8"), f"{name}.drv"), out_path
+                            paths, paths)
+    return (final, store_path("text", final.encode("utf-8"), f"{name}.drv"),
+            paths["out"])
 
 
 # A two-package chain: "second" (the deployment's root gexp) embeds the
@@ -139,6 +147,28 @@ def chain_goldens():
             {"first-drv": first_drv, "second-drv": second_drv})
 
 
+# A deployment whose root gexp names two outputs, "out" through #$output
+# and "lib" through (ungexp output "lib"); nothing in it is renamed.
+SPLIT_DEPLOYMENT = """\
+#~(begin
+    (mkdir #$output)
+    (mkdir (ungexp output "lib"))
+    (write-file (string-append (ungexp output "lib") "/version") "1")
+    (write-file (string-append #$output "/lib") (ungexp output "lib")))
+"""
+
+
+def split_golden():
+    """The .drv text and store path of the two-output deployment."""
+    out, lib = '(getenv "out")', '(getenv "lib")'
+    text, drv, _ = derivation(
+        "split", f'(begin (mkdir {out}) (mkdir {lib}) (write-file'
+                 f' (string-append {lib} "/version") "1") (write-file'
+                 f' (string-append {out} "/lib") {lib}))',
+        outputs=("out", "lib"))
+    return text, drv
+
+
 MODULE_FILES = {
     "demo/util/a.scm": '(define-module (demo util a) #:use-module (demo util b))\n'
                        '(define (a-label) (string-append "a+" (b-label)))\n',
@@ -179,6 +209,7 @@ def generate(root: pathlib.Path) -> list:
     chain_drvs, chain_paths = chain_goldens()
     drvs.update(chain_drvs)
     paths.update(chain_paths)
+    drvs["split.drv"], paths["split-drv"] = split_golden()
     for file_name, text in drvs.items():
         (golden_dir / file_name).write_bytes(text.encode("utf-8"))
         written.append(f"tests/golden/{file_name}")
@@ -186,6 +217,10 @@ def generate(root: pathlib.Path) -> list:
     chain_dir.mkdir(parents=True, exist_ok=True)
     (chain_dir / "second.scm").write_text(CHAIN_DEPLOYMENT, encoding="utf-8")
     written.append("tests/fixtures/chain/second.scm")
+    outputs_dir = root / "tests" / "fixtures" / "outputs"
+    outputs_dir.mkdir(parents=True, exist_ok=True)
+    (outputs_dir / "split.scm").write_text(SPLIT_DEPLOYMENT, encoding="utf-8")
+    written.append("tests/fixtures/outputs/split.scm")
 
     # Module import chain fixture and its interned closure directory.
     fixtures = root / "tests" / "fixtures" / "modules"
@@ -196,7 +231,10 @@ def generate(root: pathlib.Path) -> list:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
         written.append(f"tests/fixtures/modules/{relpath}")
-        blob += relpath.encode("utf-8") + b"\n" + text.encode("utf-8")
+        key, content = relpath.encode("utf-8"), text.encode("utf-8")
+        # Each path and content is length-prefixed, so the fingerprint
+        # is injective.
+        blob += b"%d:%s%d:%s" % (len(key), key, len(content), content)
     paths["modules"] = store_path("source", blob, "modules")
 
     (golden_dir / "paths.json").write_text(json.dumps(paths, indent=2) + "\n",

@@ -1,17 +1,20 @@
 """Staged code with escapes: construction, hygiene, and serialization.
 
 A gexp is a staged program fragment.  Staging hashes the source, then
-makes one walk over it that does three things at once:
+makes one walk over it (`_Renamer`, the only one) that does three
+things at once:
 
 1. deterministic alpha-renaming of every identifier bound by a
    recognized binding construct (hygiene),
-2. compilation of the renamed body into a template (a closure that maps
-   one resolved value per escape to the final residual, without ever
-   re-traversing the body; subtrees without an escape are constants),
+2. compilation of the renamed body into a template (a plain function
+   that maps one resolved value per escape to the final residual,
+   without re-traversing the body; subtrees without an escape are
+   constants),
 3. collection of the escape forms (``ungexp`` and friends).
 
 The escapes' host expressions are then evaluated left to right in the
-host environment.
+host environment.  Output names, embedded objects and imported modules
+are read off the escapes (`gexp_outputs` and friends).
 
 Serialization (``gexp_to_sexp``) resolves each escape payload (output
 references become ``(getenv "name")`` calls, nested gexps serialize
@@ -61,14 +64,6 @@ class HostEnv:
             raise StagingError(f"unbound host symbol '{name}'") from None
 
 
-def as_host_env(env) -> HostEnv:
-    if env is None:
-        return HostEnv({})
-    if isinstance(env, HostEnv):
-        return env
-    return HostEnv(dict(env))
-
-
 @dataclass
 class Literal:
     value: Sexp
@@ -102,31 +97,11 @@ class EscapeRef:
 
 
 @dataclass
-class Template:
-    """Escape-position substitution compiled from a renamed body."""
-
-    fn: Callable
-    arity: int
-
-    def __call__(self, args) -> Sexp:
-        args = tuple(args)
-        if len(args) != self.arity:
-            raise StagingError(
-                f"template wants {self.arity} escape values, got {len(args)}")
-        return self.fn(args)
-
-
-@dataclass
 class Gexp:
-    template: Template
+    template: Callable[[list], Sexp]  # one value per escape -> residual
     escapes: tuple[EscapeRef, ...]
-    outputs: tuple[str, ...]
     imported_modules: tuple[ModuleName, ...]
     source_digest: Digest
-
-    def __post_init__(self):
-        if self.template.arity != len(self.escapes):
-            raise StagingError("template arity does not match escape count")
 
 
 def _head_name(expr: Sexp) -> Optional[str]:
@@ -155,7 +130,8 @@ class _Renamer:
     Renaming is inert wherever the quote/quasiquote level is positive
     and reactivates under ``unquote`` at the matching level.  Binder
     handling likewise only happens at level zero, so quoted lists that
-    merely look like ``let`` forms stay data.
+    merely look like ``let`` forms stay data; escapes are escapes at
+    any level.
 
     Each method returns the walked node with its template code (see
     `_join`).  ``escapes`` collects the staged (not foreign) escapes.
@@ -373,16 +349,6 @@ def _binding_pairs(expr):
     return expr.items
 
 
-def alpha_rename(body: Sexp, digest: Digest) -> Sexp:
-    """Hygienically rename bound identifiers in *body*.
-
-    The renaming is a pure function of the digest (taken over the
-    pre-rename source) and each binder's nesting depth, so staging the
-    same source twice yields byte-identical residuals.
-    """
-    return _Renamer(digest.hex[:4]).staged(body, {}, 0, 0, False)[0]
-
-
 def _parse_escape(form: SList) -> EscapeRef:
     """An escape whose payload is its output name or its unevaluated
     host expression."""
@@ -398,42 +364,17 @@ def _parse_escape(form: SList) -> EscapeRef:
     raise StagingError(f"malformed escape: {print_canonical(form)}")
 
 
-def _template(node: Sexp, code, forms: list) -> tuple[Template, list[EscapeRef]]:
+def _template(node: Sexp, code, forms: list) -> tuple[Callable, list[EscapeRef]]:
     """The template of a walked body (*node* with its *code*, see
     `_join`) and the parsed escape *forms*."""
     escapes = [_parse_escape(form) for form in forms]
     if code is None:
-        return Template(lambda args: node, len(escapes)), escapes
+        return lambda args: node, escapes
     if type(code) is int:
         if escapes[code].splicing:
             raise StagingError("splicing escape cannot be the whole gexp body")
-        return Template(lambda args: args[code], len(escapes)), escapes
-    return Template(lambda args: _fill(*code, args), len(escapes)), escapes
-
-
-def substitute_escapes(body: Sexp) -> tuple[Template, list[EscapeRef]]:
-    """Compile *body* into a template with one hole per escape, and
-    return it with the escapes in left-to-right depth-first order.
-
-    Escape positions are fixed at compile time, and subtrees without an
-    escape are constants of the template: applying it builds only the
-    lists that hold an escape, and never searches the body again.
-    Quotation does not stop the walk (escapes under quote are still
-    escapes), and an escape's host expression is not entered, so
-    escapes of a nested ``(gexp ...)`` there belong to that inner gexp.
-    `stage` compiles its template in the renaming walk instead.
-    """
-    forms: list[SList] = []
-
-    def walk(expr):
-        if isinstance(expr, SList) and expr.items:
-            if _head_name(expr) in UNGEXP_HEADS:
-                forms.append(expr)
-                return expr, len(forms) - 1
-            return _join(expr, [walk(item) for item in expr.items])
-        return expr, None
-
-    return _template(*walk(body), forms)
+        return lambda args: args[code], escapes
+    return lambda args: _fill(*code, args), escapes
 
 
 def classify(value) -> object:
@@ -524,21 +465,18 @@ def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:
     moment; lowering of embedded objects stays deferred until
     serialization.
     """
-    env = as_host_env(env)
+    if not isinstance(env, HostEnv):
+        env = HostEnv(dict(env or {}))
     modules = coerce_module_names(list(imported_modules)) if imported_modules else ()
     digest = hash_sexp(source)
     renamer = _Renamer(digest.hex[:4])
     template, escapes = _template(*renamer.staged(source, {}, 0, 0, False),
                                   renamer.escapes)
-    outputs: list[str] = []
     for i, esc in enumerate(escapes):
-        if isinstance(esc.payload, OutputName):
-            if esc.payload.name not in outputs:
-                outputs.append(esc.payload.name)
-        else:
+        if not isinstance(esc.payload, OutputName):
             escapes[i] = EscapeRef(classify(eval_host(esc.payload, env, modules)),
                                    esc.native, esc.splicing)
-    return Gexp(template, tuple(escapes), tuple(outputs), modules, digest)
+    return Gexp(template, tuple(escapes), modules, digest)
 
 
 Resolver = Callable[[object, str, Optional[str]], Sexp]

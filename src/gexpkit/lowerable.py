@@ -25,9 +25,9 @@ from .gexp import (Gexp, HostEnv, StagingError, _head_name, eval_host,
 from .modules import (intern_module_closure, read_source,
                       source_module_closure)
 from .sexp import SList, String, Symbol, print_canonical, read_all
-from .store import (DEFAULT_SYSTEM, Derivation, Store, StorePath,
-                    output_path, validate_store_name, validate_system,
-                    write_derivation)
+from .store import (DEFAULT_SYSTEM, RESERVED_VARIABLES, Derivation, Store,
+                    StorePath, output_path, validate_store_name,
+                    validate_system, write_derivation)
 
 
 class LoweringError(Exception):
@@ -288,7 +288,8 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     The embedded objects lower first, in one request, under (system,
     target) honoring native flags, and each becomes an input drv or
     source.  The residual program is interned as ``<name>-builder``,
-    each referenced output gets an env entry mapping its name to its
+    each referenced output (none may be named after one of
+    `RESERVED_VARIABLES`) gets an env entry mapping its name to its
     output path, and the imported-module closure (if any), found on
     ``store.module_path``, is interned with its store path in env
     MODULE_PATH.  The derivation file is written before returning.
@@ -296,6 +297,10 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
     validate_store_name(name)
     if target is not None:
         validate_system(target)
+    out_names = tuple(gexp_outputs(g)) or ("out",)
+    for out in out_names:
+        if out in RESERVED_VARIABLES:
+            raise LoweringError(f"{name}: output '{out}' is a builder variable")
     store, system = lowering.store, lowering.system
 
     pairs = [(ref.payload.obj, None if ref.native else target)
@@ -329,7 +334,6 @@ def lower_gexp(lowering: Lowering, name: str, g: Gexp,
         source_inputs.setdefault(str(closure), closure)
         env["MODULE_PATH"] = str(closure)
 
-    out_names = tuple(gexp_outputs(g)) or ("out",)
     draft = Derivation(
         name=name, system=system, target=target, builder=builder,
         input_drvs=tuple((p, ("out",)) for p in drv_inputs.values()),

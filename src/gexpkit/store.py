@@ -13,8 +13,10 @@ Fingerprints, one per item kind::
     text:sha256:<hex of drv text>:<name>.drv         derivation files
     output:<out>:sha256:<hex of blanked text>:<name> output paths
 
-where "blanked text" is the canonical derivation text with every
-output path field emptied (outputs map values and their env copies).
+where a directory's content is ``<len>:<relpath><len>:<bytes>`` per
+file in relative path order (decimal lengths), and "blanked text" is
+the canonical derivation text with every output path field emptied
+(outputs map values and their env copies).
 Nothing here knows about gexps, lowering or modules; those build on it.
 
 The build plan lives here too: (``.drv`` path, outputs) for each
@@ -191,14 +193,16 @@ class Store:
         return self.commit(path, lambda tmp: Path(tmp).write_bytes(data))
 
     def intern_dir(self, entries: Mapping[str, bytes], name: str) -> StorePath:
-        """Intern a directory, content-addressed over the sorted
-        concatenation of relative path + file content."""
+        """Intern a directory, content-addressed over its entries (see
+        the module docstring): each path and content is length-prefixed,
+        so no two directories share a fingerprint."""
         validate_store_name(name)
         blob = b""
         for relpath in sorted(entries):
             if relpath.startswith("/") or ".." in relpath.split("/"):
                 raise StoreError(f"bad relative path in directory item: {relpath!r}")
-            blob += relpath.encode("utf-8") + b"\n" + entries[relpath]
+            key, content = relpath.encode("utf-8"), entries[relpath]
+            blob += b"%d:%s%d:%s" % (len(key), key, len(content), content)
         content_hex = hashlib.sha256(blob).hexdigest()
         path = StorePath(self.prefix, _fingerprint_hash("source", content_hex, name), name)
 
@@ -537,6 +541,10 @@ def build(store: Store, d: Derivation | list,
         if log is not None:
             log.append((action, str(path)))
     return dict(steps[-1][1])
+
+
+# What `_realise` sets besides the outputs; lowering rejects such outputs.
+RESERVED_VARIABLES = ("SYSTEM", "TARGET", "TMPDIR", "MODULE_PATH")
 
 
 def _realise(store: Store, path, outputs: Mapping) -> str:

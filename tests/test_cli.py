@@ -221,6 +221,18 @@ class TestFailureModes:
         assert "deliberate" in err
         assert "boom.drv" in err
 
+    @pytest.mark.parametrize("output",
+                             ["SYSTEM", "TARGET", "TMPDIR", "MODULE_PATH"])
+    def test_reserved_output_name_exits_1_naming_it(self, capsys, scratch,
+                                                    output):
+        bad = scratch / "reserved.scm"
+        bad.write_text(f'#~(mkdir (ungexp output "{output}"))\n')
+        code, out, err = run(capsys, "build", str(bad))
+        assert (code, out) == (1, "")
+        assert err == (f"gexpkit: error: reserved: output '{output}' is a "
+                       f"builder variable\n")
+        assert not any(Path("store").glob("*-reserved*"))
+
     @pytest.mark.parametrize("files, named", [
         ({"hostile.scm": b"#~(quote " + b"(" * 3000 + b")" * 3000 + b")"},
          "too deep"),

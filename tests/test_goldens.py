@@ -4,7 +4,8 @@
 principles, without importing gexpkit.  These tests check that the
 frozen files are still what the oracle computes, and that ``gexpkit
 lower`` writes the same bytes for the two-package chain, whose let
-binders show the staging rename in the builder's store path.
+binders show the staging rename in the builder's store path, and for a
+root with two outputs.
 """
 
 import json
@@ -51,3 +52,13 @@ def test_lowered_chain_matches_the_oracle(scratch):
     assert out.strip() == paths["second-drv"]
     for key, golden in (("first-drv", "first-1.drv"), ("second-drv", "second.drv")):
         assert Path(paths[key]).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_lowered_two_outputs_match_the_oracle(scratch):
+    paths = json.loads((GOLDEN_DIR / "paths.json").read_text())
+    code, out, err = run_main(["lower", str(FIXTURE_DIR / "outputs" / "split.scm"),
+                               "--store", "./store"])
+    assert code == 0, err
+    assert out.strip() == paths["split-drv"]
+    assert Path(paths["split-drv"]).read_bytes() == (
+        GOLDEN_DIR / "split.drv").read_bytes()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from gexpkit import (Boolean, Integer, Keyword, ParseError, SList, String,
-                     Symbol, alpha_rename, gexp_to_sexp, hash_sexp,
-                     print_canonical, read, read_all, slist, stage)
+                     Symbol, gexp_to_sexp, hash_sexp, print_canonical, read,
+                     read_all, slist, stage)
+from gexpkit.gexp import _Renamer
 from gexpkit.sexp import symbol_text_ok
 
 from strategies import builder_programs, sexps
@@ -280,7 +281,8 @@ class TestConstruction:
         g = stage(body, {"x": "s", "xs": [1, Symbol("y")],
                          "f": lambda inner: [inner, 2]})
         residual = gexp_to_sexp(g, "x86_64-linux")
-        for node in (read_back, alpha_rename(body, hash_sexp(body)), residual):
+        renamed = _Renamer(hash_sexp(body).hex[:4]).staged(body, {}, 0, 0, False)[0]
+        for node in (read_back, renamed, residual):
             assert rebuilt(node) == node
 
     @pytest.mark.parametrize("make, argument", [

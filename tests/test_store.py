@@ -148,6 +148,15 @@ class TestInterning:
             store.intern_dir(reversed_entries, "modules")
         assert store.writes == 1
 
+    def test_dir_fingerprint_is_injective(self, store):
+        # Without length prefixes both directories would fingerprint
+        # as the bytes "a\nxb\ny".
+        split = store.intern_dir({"a": b"x", "b": b"y"}, "d")
+        joined = store.intern_dir({"a": b"xb\ny"}, "d")
+        assert split != joined
+        assert sorted(os.listdir(split.fs)) == ["a", "b"]
+        assert (joined.fs / "a").read_bytes() == b"xb\ny"
+
     def test_dir_rejects_escaping_paths(self, store):
         with pytest.raises(StoreError):
             store.intern_dir({"../evil": b""}, "modules")
