@@ -17,6 +17,8 @@ Outputs:
     tests/fixtures/chain/second.scm  the chain's deployment
     tests/golden/split.drv           a root with two outputs, "out" and "lib"
     tests/fixtures/outputs/split.scm its deployment
+    tests/golden/nested.drv          a root embedding a gexp that embeds a package
+    tests/fixtures/nested/nested.scm its deployment
     tests/fixtures/modules/...       module fixture tree (3-file import chain)
 """
 
@@ -169,6 +171,51 @@ def split_golden():
     return text, drv
 
 
+# A root gexp that binds a let and embeds the defined gexp "install",
+# which binds a let of its own and is the only place that embeds the
+# package "tool".  The nested gexp carries its input up: the root's
+# input drvs list tool-1.drv.  Each body is renamed with its own tag,
+# so the root's builder holds "install"'s body renamed with the tag of
+# that body, not the root's.
+NESTED_DEPLOYMENT = """\
+(define-package tool
+  (package
+    (name "tool")
+    (version "1")
+    (build #~(begin
+               (mkdir #$output)
+               (write-file (string-append #$output "/name") "tool")))))
+
+(define install
+  #~(let ((bin #$tool))
+      (copy-file (string-append bin "/name") (string-append #$output "/tool"))))
+
+#~(let ((dir #$output))
+    (mkdir dir)
+    #$install)
+"""
+
+INSTALL_BODY = ('(let ((bin (ungexp tool))) (copy-file (string-append bin "/name")'
+                ' (string-append (ungexp output) "/tool")))')
+NESTED_BODY = '(let ((dir (ungexp output))) (mkdir dir) (ungexp install))'
+
+
+def nested_golden():
+    """The .drv text and store path of the nested deployment's root."""
+    _, tool_drv, tool_out = derivation(
+        "tool-1", '(begin (mkdir (getenv "out")) (write-file'
+                  ' (string-append (getenv "out") "/name") "tool"))')
+    install_tag = hashlib.sha256(INSTALL_BODY.encode("utf-8")).hexdigest()[:4]
+    root_tag = hashlib.sha256(NESTED_BODY.encode("utf-8")).hexdigest()[:4]
+    b, d = f"bin-{install_tag}-0", f"dir-{root_tag}-0"
+    install = (f'(let (({b} {quote(tool_out)})) (copy-file (string-append {b}'
+               f' "/name") (string-append (getenv "out") "/tool")))')
+    text, drv, _ = derivation(
+        "nested", f'(let (({d} (getenv "out"))) (mkdir {d}) {install})',
+        input_drvs=[(tool_drv, ["out"])])
+    return text, drv
+
+
 MODULE_FILES = {
     "demo/util/a.scm": '(define-module (demo util a) #:use-module (demo util b))\n'
                        '(define (a-label) (string-append "a+" (b-label)))\n',
@@ -210,6 +257,7 @@ def generate(root: pathlib.Path) -> list:
     drvs.update(chain_drvs)
     paths.update(chain_paths)
     drvs["split.drv"], paths["split-drv"] = split_golden()
+    drvs["nested.drv"], _ = nested_golden()
     for file_name, text in drvs.items():
         (golden_dir / file_name).write_bytes(text.encode("utf-8"))
         written.append(f"tests/golden/{file_name}")
@@ -221,6 +269,10 @@ def generate(root: pathlib.Path) -> list:
     outputs_dir.mkdir(parents=True, exist_ok=True)
     (outputs_dir / "split.scm").write_text(SPLIT_DEPLOYMENT, encoding="utf-8")
     written.append("tests/fixtures/outputs/split.scm")
+    nested_dir = root / "tests" / "fixtures" / "nested"
+    nested_dir.mkdir(parents=True, exist_ok=True)
+    (nested_dir / "nested.scm").write_text(NESTED_DEPLOYMENT, encoding="utf-8")
+    written.append("tests/fixtures/nested/nested.scm")
 
     # Module import chain fixture and its interned closure directory.
     fixtures = root / "tests" / "fixtures" / "modules"

@@ -4,8 +4,9 @@
 principles, without importing gexpkit.  These tests check that the
 frozen files are still what the oracle computes, and that ``gexpkit
 lower`` writes the same bytes for the two-package chain, whose let
-binders show the staging rename in the builder's store path, and for a
-root with two outputs.
+binders show the staging rename in the builder's store path, for a
+root with two outputs, and for a root that embeds a gexp embedding a
+package.
 """
 
 import json
@@ -62,3 +63,12 @@ def test_lowered_two_outputs_match_the_oracle(scratch):
     assert out.strip() == paths["split-drv"]
     assert Path(paths["split-drv"]).read_bytes() == (
         GOLDEN_DIR / "split.drv").read_bytes()
+
+
+def test_lowered_nested_gexp_matches_the_oracle(scratch):
+    code, out, err = run_main(["lower", str(FIXTURE_DIR / "nested" / "nested.scm"),
+                               "--store", "./store"])
+    assert code == 0, err
+    assert out.strip().endswith("-nested.drv")
+    assert Path(out.strip()).read_bytes() == (
+        GOLDEN_DIR / "nested.drv").read_bytes()
