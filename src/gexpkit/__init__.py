@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "builder": ("EvalEnv", "mini_eval"),
-    "gexp": ("Gexp", "HostEnv", "StagingError", "eval_host", "gexp_inputs",
+    "gexp": ("Gexp", "StagingError", "eval_host", "gexp_inputs",
              "gexp_modules", "gexp_outputs", "gexp_to_sexp", "stage"),
     "lowerable": ("FileAppend", "GexpCompiler", "LocalFile", "Lowering",
                   "LoweringError", "Package", "PlainFile", "expand_object",

@@ -674,7 +674,8 @@ def _primitives() -> dict:
         _check_str(path, "write-file")
         _check_str(content, "write-file")
         try:
-            with open(_resolve(env, path), "w", encoding="utf-8") as fh:
+            with open(_resolve(env, path), "w", encoding="utf-8",
+                      newline="") as fh:
                 fh.write(content)
         except OSError as exc:
             raise BuildError(f"write-file {path}: {exc}") from exc
@@ -683,7 +684,8 @@ def _primitives() -> dict:
     def read_file(env, path):
         _check_str(path, "read-file")
         try:
-            with open(_resolve(env, path), "r", encoding="utf-8") as fh:
+            with open(_resolve(env, path), encoding="utf-8",
+                      newline="") as fh:
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise BuildError(f"read-file {path}: {exc}") from exc

@@ -13,25 +13,28 @@ things at once:
 3. collection of the escape forms (``ungexp`` and friends).
 
 The escapes' host expressions are then evaluated left to right in the
-host environment.  Output names, embedded objects and imported modules
-are read off the escapes (`gexp_outputs` and friends).
+host bindings, a plain dict.  An escape's payload is an `OutputName`,
+or its host value as `classify` makes it: a sexp, a nested `Gexp`, a
+tuple of payloads, or a `Lowerable` holding any other object.  Output
+names, embedded objects and imported modules are read off the escapes
+(`gexp_outputs` and friends).
 
-Serialization (``gexp_to_sexp``) resolves each escape payload (output
-references become ``(getenv "name")`` calls, nested gexps serialize
-recursively, lowerable objects go through the supplied resolver) and
-applies the template.
+Serialization (``gexp_to_sexp``) resolves each escape payload (a sexp
+stands for itself, output references become ``(getenv "name")`` calls,
+nested gexps serialize recursively, tuples become lists, lowerable
+objects go through the supplied resolver) and applies the template.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_
 from types import FunctionType
 from typing import Callable, Mapping, Optional
 
 from .modules import ModuleName, _arity, _arity_message, coerce_module_names
-from .sexp import (Boolean, Digest, Integer, Keyword, Sexp, SList, String,
-                   Symbol, _slist, _symbol, hash_sexp, print_canonical, slist)
+from .sexp import (Boolean, Integer, Keyword, Sexp, SList, String, Symbol,
+                   _slist, _symbol, hash_sexp, print_canonical, slist)
 
 
 class StagingError(Exception):
@@ -51,37 +54,8 @@ _OUTPUT = _symbol("output")
 
 
 @dataclass
-class HostEnv:
-    """Host bindings visible to escape expressions.  Values may be
-    anything: gexps, lowerable objects, sexp data, callables."""
-
-    bindings: Mapping[str, object] = field(default_factory=dict)
-
-    def lookup(self, name: str):
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise StagingError(f"unbound host symbol '{name}'") from None
-
-
-@dataclass
-class Literal:
-    value: Sexp
-
-
-@dataclass
 class OutputName:
     name: str
-
-
-@dataclass
-class NestedGexp:
-    gexp: "Gexp"
-
-
-@dataclass
-class ListPayload:
-    items: tuple
 
 
 @dataclass(eq=False)
@@ -101,7 +75,6 @@ class Gexp:
     template: Callable[[list], Sexp]  # one value per escape -> residual
     escapes: tuple[EscapeRef, ...]
     imported_modules: tuple[ModuleName, ...]
-    source_digest: Digest
 
 
 def _head_name(expr: Sexp) -> Optional[str]:
@@ -378,37 +351,38 @@ def _template(node: Sexp, code, forms: list) -> tuple[Callable, list[EscapeRef]]
 
 
 def classify(value) -> object:
-    """Map an evaluated host value onto an escape payload."""
-    if isinstance(value, Gexp):
-        return NestedGexp(value)
-    if isinstance(value, SList):
-        return ListPayload(tuple(classify(item) for item in value.items))
-    if isinstance(value, Sexp):
-        return Literal(value)
+    """Map an evaluated host value onto an escape payload: a sexp or a
+    gexp as it is, a bool, int or str as its sexp atom, a list or tuple
+    as a tuple of payloads, and any other object as a `Lowerable`."""
+    if isinstance(value, (Sexp, Gexp)):
+        return value
     if isinstance(value, bool):
-        return Literal(Boolean(value))
+        return Boolean(value)
     if isinstance(value, int):
-        return Literal(Integer(value))
+        return Integer(value)
     if isinstance(value, str):
-        return Literal(String(value))
+        return String(value)
     if isinstance(value, (list, tuple)):
-        return ListPayload(tuple(classify(item) for item in value))
+        return tuple(classify(item) for item in value)
     if value is None:
         raise StagingError("cannot embed None in staged code")
     return Lowerable(value)
 
 
-def eval_host(expr: Sexp, env: HostEnv, imported_modules=()):
+def eval_host(expr: Sexp, env: Mapping[str, object], imported_modules=()):
     """Evaluate a host expression.
 
-    Atoms self-evaluate (symbols look up in *env*), ``(quote d)``
-    yields the datum, ``(gexp body)`` stages the body right here with
-    the current imported-modules context, ``(with-imported-modules m e)``
-    extends that context for its body, and anything else is a call of a
-    host callable.
+    Atoms self-evaluate (symbols look up in the bindings dict *env*),
+    ``(quote d)`` yields the datum, ``(gexp body)`` stages the body
+    right here with the current imported-modules context,
+    ``(with-imported-modules m e)`` extends that context for its body,
+    and anything else is a call of a host callable.
     """
     if isinstance(expr, Symbol):
-        return env.lookup(expr.name)
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise StagingError(f"unbound host symbol '{expr.name}'") from None
     if isinstance(expr, Integer):
         return expr.value
     if isinstance(expr, String):
@@ -460,13 +434,12 @@ def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:
 
     One walk renames binders, compiles the template (escape-free
     subtrees become its constants) and collects the escapes; then each
-    escape's host expression is evaluated left to right in *env*.  A
-    nested ``(gexp ...)`` inside a host expression stages at this
-    moment; lowering of embedded objects stays deferred until
+    escape's host expression is evaluated left to right in the bindings
+    dict *env*.  A nested ``(gexp ...)`` inside a host expression stages
+    at this moment; lowering of embedded objects stays deferred until
     serialization.
     """
-    if not isinstance(env, HostEnv):
-        env = HostEnv(dict(env or {}))
+    env = env or {}
     modules = coerce_module_names(list(imported_modules)) if imported_modules else ()
     digest = hash_sexp(source)
     renamer = _Renamer(digest.hex[:4])
@@ -476,22 +449,22 @@ def stage(source: Sexp, env=None, imported_modules=()) -> Gexp:
         if not isinstance(esc.payload, OutputName):
             escapes[i] = EscapeRef(classify(eval_host(esc.payload, env, modules)),
                                    esc.native, esc.splicing)
-    return Gexp(template, tuple(escapes), modules, digest)
+    return Gexp(template, tuple(escapes), modules)
 
 
 Resolver = Callable[[object, str, Optional[str]], Sexp]
 
 
 def _resolve_payload(payload, system, target, resolver) -> Sexp:
-    if isinstance(payload, Literal):
-        return payload.value
+    if isinstance(payload, Sexp):
+        return payload
     if isinstance(payload, OutputName):
         return slist(Symbol("getenv"), String(payload.name))
-    if isinstance(payload, NestedGexp):
-        return gexp_to_sexp(payload.gexp, system, target, resolver)
-    if isinstance(payload, ListPayload):
+    if isinstance(payload, Gexp):
+        return gexp_to_sexp(payload, system, target, resolver)
+    if isinstance(payload, tuple):
         return SList(tuple(_resolve_payload(p, system, target, resolver)
-                           for p in payload.items))
+                           for p in payload))
     if isinstance(payload, Lowerable):
         if resolver is None:
             raise StagingError(
@@ -523,11 +496,11 @@ def _payloads(g: Gexp):
     while stack:
         payload, native = stack.pop()
         yield payload, native
-        if isinstance(payload, ListPayload):
-            stack.extend((item, native) for item in reversed(payload.items))
-        elif isinstance(payload, NestedGexp):
+        if isinstance(payload, tuple):
+            stack.extend((item, native) for item in reversed(payload))
+        elif isinstance(payload, Gexp):
             stack.extend((esc.payload, native or esc.native)
-                         for esc in reversed(payload.gexp.escapes))
+                         for esc in reversed(payload.escapes))
 
 
 def gexp_inputs(g: Gexp) -> list[EscapeRef]:
@@ -554,6 +527,6 @@ def gexp_outputs(g: Gexp) -> list[str]:
 
 def gexp_modules(g: Gexp) -> tuple[ModuleName, ...]:
     """Imported-module names of *g* unioned with those of nested gexps."""
-    nested = (p.gexp for p, _ in _payloads(g) if isinstance(p, NestedGexp))
+    nested = (p for p, _ in _payloads(g) if isinstance(p, Gexp))
     return tuple(dict.fromkeys(
         name for gx in (g, *nested) for name in gx.imported_modules))

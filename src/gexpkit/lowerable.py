@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from .gexp import (Gexp, HostEnv, StagingError, _head_name, eval_host,
-                   gexp_inputs, gexp_modules, gexp_outputs, gexp_to_sexp)
+from .gexp import (Gexp, StagingError, _head_name, eval_host, gexp_inputs,
+                   gexp_modules, gexp_outputs, gexp_to_sexp)
 from .modules import (intern_module_closure, read_source,
                       source_module_closure)
 from .sexp import SList, String, Symbol, print_canonical, read_all
@@ -36,13 +36,13 @@ class LoweringError(Exception):
 
 @dataclass(eq=False)
 class Package:
-    """A buildable package: metadata plus a staged build program."""
+    """A buildable package: a name, a version and a staged build
+    program."""
 
     name: str
     version: str
     build: Gexp
     outputs: tuple = ("out",)
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.build, Gexp):
@@ -425,7 +425,7 @@ def _base_bindings(base_dir: Path, lowering: Lowering) -> dict:
     }
 
 
-def _parse_package(form: SList, env: HostEnv) -> Package:
+def _parse_package(form: SList, env: dict) -> Package:
     if _head_name(form) != "package":
         raise StagingError("define-package wants a (package ...) form")
     fields: dict[str, tuple] = {}
@@ -456,9 +456,9 @@ def _parse_package(form: SList, env: HostEnv) -> Package:
         if not all(isinstance(o, String) for o in out_field):
             raise StagingError("package outputs must be strings")
         outputs = tuple(o.value for o in out_field)
-    # Remaining fields are inert metadata, kept as parsed data.
+    # Any remaining field is accepted and ignored.
     return Package(name=name, version=version, build=build_gexp,
-                   outputs=outputs, metadata=dict(fields))
+                   outputs=outputs)
 
 
 def load_deployment(path: Path, lowering: Lowering) -> Gexp:
@@ -473,17 +473,16 @@ def load_deployment(path: Path, lowering: Lowering) -> Gexp:
     lowering.reads[os.path.realpath(path)] = reads[str(path)]
     if not forms:
         raise StagingError(f"{path}: empty deployment file")
-    bindings = _base_bindings(path.resolve().parent, lowering)
-    env = HostEnv(bindings)
+    env = _base_bindings(path.resolve().parent, lowering)
     for form in forms[:-1]:
         head = _head_name(form)
         if (head == "define" and len(form) == 3
                 and isinstance(form.items[1], Symbol)):
-            bindings[form.items[1].name] = eval_host(form.items[2], env)
+            env[form.items[1].name] = eval_host(form.items[2], env)
         elif (head == "define-package" and len(form) == 3
                 and isinstance(form.items[1], Symbol)
                 and isinstance(form.items[2], SList)):
-            bindings[form.items[1].name] = _parse_package(form.items[2], env)
+            env[form.items[1].name] = _parse_package(form.items[2], env)
         else:
             raise StagingError(
                 f"{path}: every form before the last must be a define "

@@ -13,7 +13,6 @@ loading ``gexp``.
 from __future__ import annotations
 
 import hashlib
-import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,13 +113,13 @@ def parse_module_source(text: str, expected: ModuleName) -> ModuleFile:
 
 
 def read_source(path: Path, reads: Optional[dict] = None) -> str:
-    """The UTF-8 text of the file at *path*, newlines translated as in
-    text mode; *reads*, when given, maps *path* to the SHA-256 of the
-    bytes read."""
+    """The UTF-8 text of the file at *path*, byte for byte (newlines are
+    not translated); *reads*, when given, maps *path* to the SHA-256 of
+    the bytes read."""
     data = path.read_bytes()
     if reads is not None:
         reads[str(path)] = hashlib.sha256(data).hexdigest()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return data.decode("utf-8")
 
 
 def load_module(name: ModuleName, search_path: Sequence,

@@ -410,8 +410,10 @@ def write_derivation(store: Store, d: Derivation,
     Every write checks: all referenced paths (builder, sources, input
     derivation files) must already exist, and every store path
     mentioned by the builder text must be accounted for by the input
-    lists or the outputs.  Input derivations come from the memo when it
-    has them; *builder_text*, when the caller has it at hand, is the
+    lists or the outputs.  A mention counts by its hash part, as Nix
+    scans for references, so text after an allowed path ("<path>/bin",
+    "<path>-suffix") is allowed too.  Input derivations come from the
+    memo when it has them; *builder_text*, when the caller has it at hand, is the
     content of ``d.builder``, which is otherwise read from the store.
     """
     data = derivation_text(d).encode("utf-8")
@@ -431,20 +433,21 @@ def _check_references(store: Store, d: Derivation,
         if not isinstance(path, StorePath):
             raise StoreError(f"unfilled output '{out}' in {d.name}")
 
-    allowed = {str(p) for p in d.input_sources}
-    allowed.update(str(p) for p in d.outputs.values())
+    allowed = {p.hash32 for p in d.input_sources}
+    allowed.update(p.hash32 for p in d.outputs.values())
     for drv_path, names in d.input_drvs:
         dep = _derivation(store, drv_path)
         for out in names:
             if out not in dep.outputs:
                 raise StoreError(
                     f"{d.name} wants output '{out}' of {dep.name}, which has none")
-            allowed.add(str(dep.outputs[out]))
+            allowed.add(dep.outputs[out].hash32)
     if builder_text is None:
         # References are ASCII, so undecodable bytes cannot hide one.
         builder_text = d.builder.fs.read_bytes().decode("utf-8", "replace")
+    start = len(store.prefix) + 1
     for ref in find_store_references(builder_text, store.prefix):
-        if ref not in allowed:
+        if ref[start:start + 32] not in allowed:
             raise StoreError(f"builder of {d.name} references unlisted path {ref}")
 
 
@@ -567,7 +570,7 @@ def _realise(store: Store, path, outputs: Mapping) -> str:
         env = EvalEnv(variables=variables, module_path=module_path,
                       base_dir=os.getcwd())
         try:
-            forms = read_all(drv.builder.fs.read_text(encoding="utf-8"))
+            forms = read_all(drv.builder.fs.read_bytes().decode("utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise BuildError(f"cannot read builder of {drv.name}: {exc}",
                              derivation=drv_path) from exc

@@ -11,12 +11,13 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from gexpkit import (Package, PlainFile, Store, build, derivation_from_sexp,
-                     find_store_references, gexp_inputs, gexp_to_derivation,
-                     gexp_to_sexp, mini_eval, print_canonical, read,
-                     read_derivation, stage, write_derivation)
+from gexpkit import (Gexp, Package, PlainFile, Store, build,
+                     derivation_from_sexp, find_store_references, gexp_inputs,
+                     gexp_to_derivation, gexp_to_sexp, mini_eval,
+                     print_canonical, read, read_derivation, stage,
+                     write_derivation)
 from gexpkit.cli import main
-from gexpkit.gexp import ListPayload, Lowerable, NestedGexp
+from gexpkit.gexp import Lowerable
 
 from conftest import (DEPLOY_IMAGE, IMAGE_BYTES, JPG_BYTES,
                       write_image_deployment)
@@ -184,10 +185,10 @@ def test_acceptance_6_input_union():
                 payload = queue.pop(0)
                 if isinstance(payload, Lowerable):
                     found.append((payload.obj, native))
-                elif isinstance(payload, ListPayload):
-                    queue = list(payload.items) + queue
-                elif isinstance(payload, NestedGexp):
-                    found.extend(brute_force(payload.gexp, native))
+                elif isinstance(payload, tuple):
+                    queue = list(payload) + queue
+                elif isinstance(payload, Gexp):
+                    found.extend(brute_force(payload, native))
         return found
 
     expected = []

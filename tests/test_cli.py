@@ -100,6 +100,44 @@ class TestBuild:
         path = out.strip().split("\t")[1]
         assert (Path(path) / "label").read_text() == "a+b+c"
 
+    @pytest.mark.parametrize("suffix", ["-suffix", ".d"])
+    def test_suffix_after_a_store_path_builds(self, capsys, scratch, suffix):
+        deploy = scratch / "suffixed.scm"
+        deploy.write_text(
+            '(define-package p (package (name "p") (version "1")'
+            ' (build #~(write-file #$output "p"))))\n'
+            f'#~(write-file #$output #$(file-append p "{suffix}"))')
+        code, out, err = run(capsys, "build", str(deploy))
+        assert code == 0, err
+        p_out = next(Path("store").glob("*-p-1"))
+        output = Path(out.strip().split("\t")[1])
+        assert output.read_text() == f"./{p_out}{suffix}"
+
+    def test_text_is_read_and_written_byte_for_byte(self, capsys, scratch):
+        # A carriage return survives the builder's own text, a module of
+        # the closure, and read-file and write-file.
+        (scratch / "mods" / "crlf").mkdir(parents=True)
+        (scratch / "mods" / "crlf" / "text.scm").write_text(
+            '(define-module (crlf text))\n(define s "a\\rb")\n')
+        (scratch / "data.txt").write_bytes(b"a\r\nb\rc")
+        deploy = scratch / "crlf.scm"
+        deploy.write_text(
+            "(with-imported-modules '((crlf text))\n"
+            "  #~(begin\n"
+            "      (use-modules (crlf text))\n"
+            "      (mkdir #$output)\n"
+            '      (write-file (string-append #$output "/builder") "a\\rb\\r\\nc")\n'
+            '      (write-file (string-append #$output "/module") s)\n'
+            '      (write-file (string-append #$output "/file")\n'
+            '                  (read-file #$(local-file "data.txt")))))\n')
+        code, out, err = run(capsys, "build", str(deploy),
+                             "--module-path", str(scratch / "mods"))
+        assert code == 0, err
+        output = Path(out.strip().split("\t")[1])
+        assert {name: (output / name).read_bytes()
+                for name in ("builder", "module", "file")} == {
+            "builder": b"a\rb\r\nc", "module": b"a\rb", "file": b"a\r\nb\rc"}
+
     def test_module_path_env_var(self, capsys, scratch, module_dir,
                                  monkeypatch):
         monkeypatch.setenv("GEXP_MODULE_PATH", module_dir)

@@ -5,12 +5,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from gexpkit import (Boolean, EvalEnv, Integer, SList, StagingError, String,
-                     Symbol, eval_host, gexp_inputs, gexp_modules,
+from gexpkit import (Boolean, EvalEnv, Gexp, Integer, SList, StagingError,
+                     String, Symbol, eval_host, gexp_inputs, gexp_modules,
                      gexp_outputs, gexp_to_sexp, hash_sexp, mini_eval,
                      print_canonical, read, slist, stage)
-from gexpkit.gexp import (UNGEXP_HEADS, HostEnv, Literal, Lowerable,
-                          NestedGexp, OutputName, _Renamer)
+from gexpkit.gexp import UNGEXP_HEADS, Lowerable, OutputName, _Renamer
 
 from strategies import sexps
 
@@ -68,8 +67,8 @@ class TestEscapeCollection:
         g = stage(read("(f `(x ,#$a ,(g #$(id #~(h #$inner)))) #$b)"),
                   {"a": 1, "b": 2, "inner": inner, "id": lambda v: v})
         kinds = [type(e.payload) for e in g.escapes]
-        assert kinds == [Literal, NestedGexp, Literal]
-        nested = g.escapes[1].payload.gexp
+        assert kinds == [Integer, Gexp, Integer]
+        nested = g.escapes[1].payload
         assert [e.payload.obj for e in nested.escapes] == [inner]
         assert residual(g, resolver=lambda o, s, t: String("inner")) == (
             '(f (quasiquote (x (unquote 1) (unquote (g (h "inner"))))) 2)')
@@ -178,7 +177,6 @@ class TestRenaming:
         a2 = stage(read("(let ((x 1)) x)"))
         b = stage(read("(let ((x 2)) x)"))
         assert residual(a1) == residual(a2)
-        assert a1.source_digest == a2.source_digest
         assert residual(a1) != residual(b)
 
     @given(sexps)
@@ -234,29 +232,29 @@ class TestHygiene:
 
 class TestHostEval:
     def test_atoms_self_evaluate(self):
-        env = HostEnv({})
+        env = {}
         assert eval_host(Integer(3), env) == 3
         assert eval_host(String("s"), env) == "s"
         assert eval_host(Boolean(True), env) is True
 
     def test_application(self):
-        env = HostEnv({"add": lambda a, b: a + b})
+        env = {"add": lambda a, b: a + b}
         assert eval_host(read("(add 1 2)"), env) == 3
 
     def test_quote_yields_datum(self):
-        assert eval_host(read("'(a b)"), HostEnv({})) == read("(a b)")
+        assert eval_host(read("'(a b)"), {}) == read("(a b)")
 
     def test_unbound_symbol(self):
         with pytest.raises(StagingError, match="unbound host symbol 'nope'"):
-            eval_host(read("nope"), HostEnv({}))
+            eval_host(read("nope"), {})
 
     def test_ungexp_outside_gexp(self):
         with pytest.raises(StagingError, match="outside any gexp"):
-            eval_host(read("#$x"), HostEnv({"x": 1}))
+            eval_host(read("#$x"), {"x": 1})
 
     def test_non_callable_application(self):
         with pytest.raises(StagingError, match="not callable"):
-            eval_host(read("(x 1)"), HostEnv({"x": 5}))
+            eval_host(read("(x 1)"), {"x": 5})
 
     @pytest.mark.parametrize("call, message", [
         ("(add 1)", "add: expected 2 arguments, got 1"),
@@ -264,24 +262,22 @@ class TestHostEval:
         ("(many)", "many: expected at least 1 arguments, got 0"),
     ])
     def test_wrong_argument_count_is_a_staging_error(self, call, message):
-        env = HostEnv({"add": lambda a, b: a + b,
-                       "opt": lambda a, b=None: a,
-                       "many": lambda a, *rest: a})
+        env = {"add": lambda a, b: a + b,
+               "opt": lambda a, b=None: a,
+               "many": lambda a, *rest: a}
         with pytest.raises(StagingError, match=f"^{re.escape(message)}$"):
             eval_host(read(call), env)
         assert eval_host(read("(many 1 2 3)"), env) == 1
 
     def test_with_imported_modules(self):
-        g = eval_host(read("(with-imported-modules '((demo util a)) #~(f))"),
-                      HostEnv({}))
+        g = eval_host(read("(with-imported-modules '((demo util a)) #~(f))"), {})
         assert [str(m) for m in g.imported_modules] == ["(demo util a)"]
 
     def test_imported_modules_union_across_nesting(self):
-        inner = eval_host(read("(with-imported-modules '((m one)) #~1)"),
-                          HostEnv({}))
+        inner = eval_host(read("(with-imported-modules '((m one)) #~1)"), {})
         outer = eval_host(
             read("(with-imported-modules '((m two)) #~(list #$inner))"),
-            HostEnv({"inner": inner}))
+            {"inner": inner})
         assert [str(m) for m in gexp_modules(outer)] == ["(m two)", "(m one)"]
 
 

@@ -455,3 +455,11 @@ class TestChecksFromMemory:
         with pytest.raises(StoreError, match="references unlisted path"):
             lowering.write(d, text)
         assert reads == {"drv": 0, "builder": 0}
+
+    @pytest.mark.parametrize("suffix", ["-suffix", ".d", "/bin"])
+    def test_unlisted_reference_with_a_suffix(self, lowering, suffix):
+        secret = lowering.store.intern_file(b"secret", "secret")
+        text = f'(read-file "{secret}{suffix}")'
+        d = self.draft(lowering, "peek", text)
+        with pytest.raises(StoreError, match="references unlisted path"):
+            lowering.write(d, text)
